@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -99,10 +100,9 @@ def _parse_samples(text: str) -> int:
         value = float(text)
     except ValueError as exc:
         raise BadParameter(f"--samples must be a number, got {text!r}") from exc
-    n = int(value)
-    if n != value or n < 2:
+    if not math.isfinite(value) or value != int(value) or value < 2:
         raise BadParameter(f"--samples must be an integer >= 2, got {text!r}")
-    return n
+    return int(value)
 
 
 def _parse_dims(text: str) -> BipartiteDims:
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("canonical-mu", "gaussian-overlap", "von-neumann"),
     )
-    p_entropy.add_argument("--dims", default=None, help="ignored; present for flag symmetry")
     _add_common(p_entropy)
     p_entropy.set_defaults(handler=cmd_entropy, default_out="json")
 
@@ -417,6 +416,8 @@ def main(argv=None) -> int:
         return 2
     try:
         args.samples = _parse_samples(args.samples)
+        if not args.tol >= 0.0:
+            raise BadParameter(f"--tol must be a number >= 0, got {args.tol!r}")
         if args.out is None:
             args.out = args.default_out
         return args.handler(args)

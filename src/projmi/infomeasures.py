@@ -27,7 +27,7 @@ from .montecarlo import (
     integrate_mu,
     integrate_product_nu,
 )
-from .projective import ProjectivePoint, liouville_density
+from .projective import ProjectivePoint, liouville_density, quadratic_form
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -93,7 +93,7 @@ class McMarginal:
                 ys = np.broadcast_to(fixed, (points.shape[0], dims.dim_b))
                 return self.joint.eval_batch(points, ys)
 
-            est = integrate_mu(None, dims.dim_a, self.cfg, batch_f=batch)
+            est = integrate_mu(dims.dim_a, self.cfg, batch_f=batch)
         else:
             if p.dim != dims.dim_a:
                 raise DimensionMismatch(f"point dim {p.dim} != dim_a {dims.dim_a}")
@@ -103,7 +103,7 @@ class McMarginal:
                 xs = np.broadcast_to(fixed, (points.shape[0], dims.dim_a))
                 return self.joint.eval_batch(xs, points)
 
-            est = integrate_mu(None, dims.dim_b, self.cfg, batch_f=batch)
+            est = integrate_mu(dims.dim_b, self.cfg, batch_f=batch)
         return replace(est, method="marginal_mc")
 
 
@@ -149,7 +149,7 @@ def differential_entropy_mu(sigma: DensityMatrix, cfg: SamplerConfig) -> MCEstim
     def batch(points):
         return _entropy_terms(density.eval_batch(points))
 
-    est = integrate_mu(None, sigma.dim, cfg, batch_f=batch)
+    est = integrate_mu(sigma.dim, cfg, batch_f=batch)
     return replace(est, method="entropy_mu")
 
 
@@ -182,7 +182,7 @@ def pure_state_entropy_gaussian(psi: np.ndarray, cfg: SamplerConfig) -> MCEstima
         out[mask] = -wm * np.log2(wm)
         return out
 
-    est = gaussian_expectation(None, v.shape[0], cfg, batch_f=batch)
+    est = gaussian_expectation(v.shape[0], cfg, batch_f=batch)
     return replace(est, method="entropy_gaussian")
 
 
@@ -221,7 +221,7 @@ def classical_like_mi_projective(
         out[mask] = scale * wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
         return out
 
-    est = integrate_product_nu(None, dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    est = integrate_product_nu(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
     return replace(est, method="mi_projective")
 
 
@@ -237,15 +237,15 @@ def classical_like_mi_gaussian(
 
     def batch(xs, ys):
         w = joint.eval_batch(xs, ys)
-        wa = np.einsum("bi,ij,bj->b", xs.conj(), sig_a, xs, optimize=True).real
-        wb = np.einsum("bi,ij,bj->b", ys.conj(), sig_b, ys, optimize=True).real
+        wa = quadratic_form(xs, sig_a).real
+        wb = quadratic_form(ys, sig_b).real
         mask = check_marginal_support(w, wa, wb)
         out = np.zeros_like(w)
         wm = w[mask]
         out[mask] = wm * (np.log2(wm) - np.log2(wa[mask]) - np.log2(wb[mask]))
         return out
 
-    est = gaussian_pair_expectation(None, dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    est = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
     return replace(est, method="mi_gaussian")
 
 
@@ -266,7 +266,7 @@ def entropy_decomposition_mi(
         return scale * _entropy_terms(joint.eval_batch(xs, ys))
 
     h_joint = integrate_product_nu(
-        None, dims.dim_a, dims.dim_b, replace(cfg, seed=seed_j), batch_f=batch
+        dims.dim_a, dims.dim_b, replace(cfg, seed=seed_j), batch_f=batch
     )
     mean = h_a.mean + h_b.mean - h_joint.mean
     se = float(np.sqrt(h_a.std_error**2 + h_b.std_error**2 + h_joint.std_error**2))

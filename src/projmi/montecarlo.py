@@ -1,17 +1,15 @@
-"""Deterministic, batch-parallel Gaussian Monte Carlo over projective space.
+"""Deterministic Gaussian Monte Carlo over projective space.
 
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
-projecting to the unit sphere; integrands are averaged over the projected
-directions. The stream for batch k is derived from (seed, k) and batches are
-reduced in ascending k, so results are bit-identical for any worker count.
-The worker cap comes from the PROJMI_THREADS environment variable.
+projecting them to the unit sphere; the raw-Gaussian estimators skip the
+projection. One sequential loop draws, evaluates and checks every batch: the
+stream of batch k is derived from (seed, k) and batches are reduced in
+ascending k, so a fixed seed reproduces every estimate bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,6 @@ from .errors import (
     ReconstructionOutOfTolerance,
     ValidationError,
 )
-from .projective import ProjectivePoint
 from .states import DensityMatrix, validate_density
 
 DEFAULT_BATCH_SIZE = 4096
@@ -65,211 +62,108 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, index]))
 
 
-def worker_count() -> int:
-    """Worker cap: PROJMI_THREADS if set, else available parallelism."""
-    raw = os.environ.get("PROJMI_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise BadParameter(f"PROJMI_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, os.cpu_count() or 1)
-
-
 def gaussian_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     """One length-n complex vector with 2n i.i.d. standard normal coordinates."""
     z = rng.standard_normal(2 * n)
     return z[:n] + 1j * z[n:]
 
 
-def _gaussian_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((m, 2 * n))
-    return z[:, :n] + 1j * z[:, n:]
+def _batches(cfg: SamplerConfig, dims: tuple, project: bool, batch_f):
+    """Yield ``(factors, values)`` for each batch of the run, in order.
 
-
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z, axis=1)[:, None]
-
-
-def _batch_sizes(cfg: SamplerConfig) -> list[int]:
+    Batch k draws one (m, n) complex Gaussian array per entry of ``dims``
+    from the substream of (cfg.seed, k), projects its rows to unit vectors
+    when ``project`` is set, and evaluates ``batch_f(*factors)`` to m reals;
+    a non-finite value is an error naming its absolute sample index.
+    """
     full, rem = divmod(cfg.n_samples, cfg.batch_size)
-    sizes = [cfg.batch_size] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+    sizes = [cfg.batch_size] * full + ([rem] if rem else [])
+    for k, m in enumerate(sizes):
+        rng = substream(cfg.seed, k)
+        factors = []
+        for n in dims:
+            z = rng.standard_normal((m, 2 * n))
+            z = z[:, :n] + 1j * z[:, n:]
+            factors.append(z / np.linalg.norm(z, axis=1)[:, None] if project else z)
+        values = np.asarray(batch_f(*factors), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = k * cfg.batch_size + int(np.argmin(finite))
+            raise NonFiniteSample(f"integrand returned a non-finite value at sample {bad}")
+        yield factors, values
 
 
-def _run_batches(cfg: SamplerConfig, batch_values) -> tuple[float, float]:
-    """Mean and standard error of ``batch_values(rng, m) -> (m,) array``.
+def _estimate(cfg: SamplerConfig, dims: tuple, project: bool, batch_f, method: str):
+    """Mean and standard error of the integrand over all batches.
 
     The standard error estimates the per-sample standard deviation from the
     spread of batch means (single-batch runs fall back to the within-batch
     spread) and divides by sqrt(n_samples).
     """
-    sizes = _batch_sizes(cfg)
-    n_batches = len(sizes)
-    offsets = [i * cfg.batch_size for i in range(n_batches)]
-
-    def task(k: int):
-        rng = substream(cfg.seed, k)
-        values = np.asarray(batch_values(rng, sizes[k]), dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NonFiniteSample(
-                f"integrand returned a non-finite value at sample {offsets[k] + bad}"
-            )
-        return float(values.sum()), float(values @ values), sizes[k]
-
-    workers = min(worker_count(), n_batches)
-    if workers <= 1:
-        results = [task(k) for k in range(n_batches)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(n_batches)))
-
+    results = [
+        (float(values.sum()), float(values @ values), values.size)
+        for _, values in _batches(cfg, dims, project, batch_f)
+    ]
     total = 0.0
     for batch_sum, _, _ in results:
         total += batch_sum
     mean = total / cfg.n_samples
 
-    if n_batches >= 2:
+    if len(results) >= 2:
         spread = 0.0
         for batch_sum, _, m in results:
             delta = batch_sum / m - mean
             spread += m * delta * delta
-        var_sample = spread / (n_batches - 1)
+        var_sample = spread / (len(results) - 1)
     else:
-        batch_sum, sq, m = results[0]
+        _, sq, m = results[0]
         var_sample = max(sq - m * mean * mean, 0.0) / (m - 1)
-    return mean, float(np.sqrt(var_sample / cfg.n_samples))
+    se = float(np.sqrt(var_sample / cfg.n_samples))
+    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, method)
 
 
-def _direction_evaluator(f, batch_f):
-    if batch_f is not None:
-        return batch_f
-    if f is None:
-        raise BadParameter("either f or batch_f must be provided")
+def integrate_nu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
+    """Integral over the invariant probability measure on rays.
 
-    def rowwise(points: np.ndarray) -> np.ndarray:
-        return np.array([f(ProjectivePoint(row)) for row in points], dtype=float)
-
-    return rowwise
-
-
-def _pair_evaluator(f, batch_f):
-    if batch_f is not None:
-        return batch_f
-    if f is None:
-        raise BadParameter("either f or batch_f must be provided")
-
-    def rowwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.array(
-            [f(ProjectivePoint(x), ProjectivePoint(y)) for x, y in zip(xs, ys)],
-            dtype=float,
-        )
-
-    return rowwise
-
-
-def integrate_nu(f, n: int, cfg: SamplerConfig, *, batch_f=None) -> MCEstimate:
-    """Integral of f over the invariant probability measure on rays.
-
-    ``f`` maps a ProjectivePoint to a real; a vectorized ``batch_f`` taking an
-    (m, n) array of unit rows may be supplied instead for speed.
+    ``batch_f`` maps an (m, n) array of unit rows to m reals.
     """
-    evaluate = _direction_evaluator(f, batch_f)
-
-    def batch_values(rng, m):
-        return evaluate(_unit_rows(_gaussian_batch(rng, m, n)))
-
-    mean, se = _run_batches(cfg, batch_values)
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, "nu")
+    return _estimate(cfg, (n,), True, batch_f, "nu")
 
 
-def integrate_mu(f, n: int, cfg: SamplerConfig, *, batch_f=None) -> MCEstimate:
+def integrate_mu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
     """Integral over the invariant measure of total mass n (n times the nu integral)."""
-    est = integrate_nu(f, n, cfg, batch_f=batch_f)
+    est = integrate_nu(n, cfg, batch_f=batch_f)
     return MCEstimate(n * est.mean, n * est.std_error, est.n_samples, est.seed, "mu")
 
 
-def integrate_product_nu(
-    f, n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f=None
-) -> MCEstimate:
-    """Integral of f(p, q) over independent invariant directions of two factors."""
-    evaluate = _pair_evaluator(f, batch_f)
-
-    def batch_values(rng, m):
-        xs = _unit_rows(_gaussian_batch(rng, m, n_a))
-        ys = _unit_rows(_gaussian_batch(rng, m, n_b))
-        return evaluate(xs, ys)
-
-    mean, se = _run_batches(cfg, batch_values)
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, "product_nu")
+def integrate_product_nu(n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
+    """Integral of ``batch_f(xs, ys)`` over independent invariant directions
+    of two factors (unit rows of widths n_a and n_b)."""
+    return _estimate(cfg, (n_a, n_b), True, batch_f, "product_nu")
 
 
-def gaussian_expectation(f, n: int, cfg: SamplerConfig, *, batch_f=None) -> MCEstimate:
-    """Expectation of f(x) over raw (unnormalized) standard complex Gaussians."""
-    if batch_f is not None:
-        evaluate = batch_f
-    elif f is not None:
-        def evaluate(xs):
-            return np.array([f(x) for x in xs], dtype=float)
-    else:
-        raise BadParameter("either f or batch_f must be provided")
-
-    def batch_values(rng, m):
-        return evaluate(_gaussian_batch(rng, m, n))
-
-    mean, se = _run_batches(cfg, batch_values)
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, "gaussian")
+def gaussian_expectation(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
+    """Expectation of ``batch_f(xs)`` over raw (unnormalized) standard complex Gaussians."""
+    return _estimate(cfg, (n,), False, batch_f, "gaussian")
 
 
 def gaussian_pair_expectation(
-    f, n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f=None
+    n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f
 ) -> MCEstimate:
-    """Expectation of f(x, y) over independent raw Gaussian vectors."""
-    if batch_f is not None:
-        evaluate = batch_f
-    elif f is not None:
-        def evaluate(xs, ys):
-            return np.array([f(x, y) for x, y in zip(xs, ys)], dtype=float)
-    else:
-        raise BadParameter("either f or batch_f must be provided")
-
-    def batch_values(rng, m):
-        xs = _gaussian_batch(rng, m, n_a)
-        ys = _gaussian_batch(rng, m, n_b)
-        return evaluate(xs, ys)
-
-    mean, se = _run_batches(cfg, batch_values)
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, "gaussian_pair")
+    """Expectation of ``batch_f(xs, ys)`` over independent raw Gaussian vectors."""
+    return _estimate(cfg, (n_a, n_b), False, batch_f, "gaussian_pair")
 
 
-def reconstruct_density_matrix(rho, n: int, cfg: SamplerConfig) -> DensityMatrix:
+def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> DensityMatrix:
     """Recover the state behind a Liouville-density evaluator from second moments.
 
-    Uses sigma_hat = n(n+1) E[rho(p) p] - I over the invariant measure; the
+    ``batch_f`` evaluates the density on an (m, n) array of unit rows. Uses
+    sigma_hat = n(n+1) E[rho(p) p] - I over the invariant measure; the
     accumulated matrix is symmetrized, validated at the relaxed tolerance
     5e-2, then clamped and trace-normalized to a strictly valid state.
     """
-    evaluate = getattr(rho, "eval_batch", None)
-    if evaluate is None:
-        def evaluate(points):
-            return np.array([rho(ProjectivePoint(row)) for row in points], dtype=float)
-
-    sizes = _batch_sizes(cfg)
     accum = np.zeros((n, n), dtype=complex)
-    for k, m in enumerate(sizes):
-        rng = substream(cfg.seed, k)
-        points = _unit_rows(_gaussian_batch(rng, m, n))
-        weights = np.asarray(evaluate(points), dtype=float)
-        finite = np.isfinite(weights)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NonFiniteSample(
-                f"density returned a non-finite value at sample {k * cfg.batch_size + bad}"
-            )
+    for (points,), weights in _batches(cfg, (n,), True, batch_f):
         accum += np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)
 
     moment = accum / cfg.n_samples

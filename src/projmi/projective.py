@@ -87,6 +87,11 @@ def fs_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return float(np.arccos(np.sqrt(t)))
 
 
+def quadratic_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<x|M|x> for each row x of ``rows``, complex; callers take ``.real``."""
+    return np.einsum("bi,ij,bj->b", rows.conj(), m, rows, optimize=True)
+
+
 @dataclass(frozen=True, eq=False)
 class LiouvilleDensity:
     """Evaluatable density p -> tr(sigma p) on projective space for a state sigma."""
@@ -107,9 +112,7 @@ class LiouvilleDensity:
             raise DimensionMismatch(
                 f"batch dim {points.shape[1]} != state dim {self.source.dim}"
             )
-        values = np.einsum(
-            "bi,ij,bj->b", points.conj(), self.source.matrix, points, optimize=True
-        )
+        values = quadratic_form(points, self.source.matrix)
         if values.size and float(np.max(np.abs(values.imag))) > 1e-12:
             raise ProjmiError("density evaluated to non-real values in batch")
         return values.real
@@ -144,7 +147,7 @@ class ObservableFunction:
             raise DimensionMismatch(
                 f"batch dim {points.shape[1]} != operator dim {self.operator.dim}"
             )
-        quad = np.einsum("bi,ij,bj->b", points.conj(), a, points, optimize=True).real
+        quad = quadratic_form(points, a).real
         return self.kappa * quad - np.trace(a).real
 
 
@@ -263,16 +266,9 @@ def segre(p_a: ProjectivePoint, p_b: ProjectivePoint) -> ProjectivePoint:
     return project(np.kron(p_a.vector, p_b.vector))
 
 
-def schrodinger_flow(
-    p: ProjectivePoint, hamiltonian, t: float, steps: int = 1
-) -> ProjectivePoint:
-    """Evolve a point by exp(-iHt) computed from the eigendecomposition of H.
-
-    Exact up to roundoff at any t; ``steps`` is kept for API symmetry with
-    trajectory sampling and must be >= 1.
-    """
-    if steps < 1:
-        raise BadParameter(f"steps must be >= 1, got {steps}")
+def schrodinger_flow(p: ProjectivePoint, hamiltonian, t: float) -> ProjectivePoint:
+    """Evolve a point by exp(-iHt) computed from the eigendecomposition of H;
+    exact up to roundoff at any t."""
     h = matrix_of(hamiltonian)
     if h.shape[0] != p.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.shape[0]} != point dim {p.dim}")

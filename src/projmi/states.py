@@ -21,6 +21,7 @@ from .errors import (
     NotPositive,
     TraceNotOne,
     UnknownFamily,
+    ValidationError,
 )
 
 
@@ -28,6 +29,9 @@ def _as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    # Every tolerance check compares with '>', which is False for NaN.
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
     return a
 
 

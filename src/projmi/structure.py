@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, EigenDecompositionFailure
-from .projective import ProjectivePoint
+from .projective import ProjectivePoint, quadratic_form
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -84,8 +84,8 @@ class RestrictedDensity:
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         total = np.zeros(xs.shape[0])
         for w, (a, b) in zip(self.mixture.weights, self.mixture.components):
-            va = np.einsum("bi,ij,bj->b", xs.conj(), a.matrix, xs, optimize=True).real
-            vb = np.einsum("bi,ij,bj->b", ys.conj(), b.matrix, ys, optimize=True).real
+            va = quadratic_form(xs, a.matrix).real
+            vb = quadratic_form(ys, b.matrix).real
             total += w * va * vb
         return total
 

@@ -60,7 +60,7 @@ def run_expectation_identity():
         def batch(points, f_a=f_a, rho=rho):
             return f_a.eval_batch(points) * rho.eval_batch(points)
 
-        est = pm.integrate_mu(None, 3, pm.SamplerConfig(1000 + k, N_MC), batch_f=batch)
+        est = pm.integrate_mu(3, pm.SamplerConfig(1000 + k, N_MC), batch_f=batch)
         out.append((est, float(np.trace(a @ sigma.matrix).real)))
     return out
 
@@ -240,7 +240,9 @@ def test_criterion_11_frame_function_law():
 def test_criterion_12_reconstruction():
     sigma = pm.mixed_random(3, 3, 1212)
     rho = pm.liouville_density(sigma)
-    recovered = pm.reconstruct_density_matrix(rho, 3, pm.SamplerConfig(12, N_MC))
+    recovered = pm.reconstruct_density_matrix(
+        3, pm.SamplerConfig(12, N_MC), batch_f=rho.eval_batch
+    )
     gap = float(np.linalg.norm(recovered.matrix - sigma.matrix))
     assert report(12, gap <= 1e-2, f"Frobenius error {gap:.2e}")
 

@@ -245,12 +245,37 @@ class TestUsageErrors:
         assert code == 2
         assert "bogus" in err
 
-    def test_bad_samples_exit_2(self, capsys):
+    @pytest.mark.parametrize("samples", ["few", "nan", "inf", "1e400"])
+    def test_bad_samples_exit_2(self, capsys, samples):
         code, _, err = run_cli(
             capsys, "entropy", "--state", "maxent:d=3", "--method", "von-neumann",
-            "--samples", "few",
+            "--samples", samples,
         )
         assert code == 2
+        assert err.startswith("projmi: --samples")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code, _, err = run_cli(
+            capsys, "entropy", "--state", "maxent:d=3", "--method", "von-neumann",
+            "--tol", tol,
+        )
+        assert code == 2
+        assert err.startswith("projmi: --tol")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_state_file_exit_2(self, capsys, tmp_path, value):
+        data = io.state_to_dict(pm.maximally_entangled(3), pm.BipartiteDims(3, 3))
+        data["re"][0][4] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        for method in ("von-neumann", "projective"):
+            code, out, err = run_cli(
+                capsys, "mi", "--state", f"file:{path}", "--method", method,
+                "--samples", "1000",
+            )
+            assert (code, out) == (2, "")
+            assert "non-finite" in err
 
     def test_subcommand_required(self, capsys):
         assert run_cli(capsys)[0] == 2

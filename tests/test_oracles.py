@@ -79,11 +79,11 @@ class TestMomentOracles:
                 return fa * fb
 
             cfg = pm.SamplerConfig(trial, 100_000)
-            second = pm.integrate_nu(None, n, cfg, batch_f=batch)
+            second = pm.integrate_nu(n, cfg, batch_f=batch)
             assert abs(second.mean - oracles.moment_second(a, b)) <= 4 * second.std_error
 
             first = pm.integrate_nu(
-                None, n, cfg,
+                n, cfg,
                 batch_f=lambda X: np.einsum("bi,ij,bj->b", X.conj(), a, X).real,
             )
             assert abs(first.mean - oracles.moment_first(a)) <= 4 * first.std_error

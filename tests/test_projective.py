@@ -310,11 +310,6 @@ class TestSchrodingerFlow:
                 assert f(moved) == pytest.approx(f(p), abs=1e-9)
                 assert 0.0 <= pm.fs_distance(moved, p) <= np.pi / 2
 
-    def test_steps_must_be_positive(self):
-        p = pm.project([1, 0, 0])
-        with pytest.raises(BadParameter):
-            pm.schrodinger_flow(p, np.eye(3), 1.0, steps=0)
-
     def test_phase_invariance(self):
         rng = np.random.default_rng(26)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)

@@ -11,6 +11,7 @@ from projmi.errors import (
     NotPositive,
     TraceNotOne,
     UnknownFamily,
+    ValidationError,
 )
 
 from helpers import random_hermitian, random_product_state
@@ -38,6 +39,14 @@ class TestValidateDensity:
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             pm.validate_density(np.eye(3) / 2)
+
+    def test_non_finite_rejected(self):
+        m = np.eye(3, dtype=complex) / 3
+        m[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            pm.validate_density(m)
+        with pytest.raises(ValidationError, match="non-finite"):
+            pm.HermitianOperator(m)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
