@@ -43,6 +43,7 @@ from .infomeasures import (
 )
 from .io import load_mixture, load_state
 from .montecarlo import MCEstimate, SamplerConfig
+from .native import keep_freed_memory, single_blas_thread
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -414,13 +415,15 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help(file=sys.stderr)
         return 2
+    keep_freed_memory()
     try:
         args.samples = _parse_samples(args.samples)
         if not args.tol >= 0.0:
             raise BadParameter(f"--tol must be a number >= 0, got {args.tol!r}")
         if args.out is None:
             args.out = args.default_out
-        return args.handler(args)
+        with single_blas_thread():
+            return args.handler(args)
     except _NUMERIC_ERRORS as exc:
         print(f"projmi: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -39,7 +39,15 @@ from .states import (
 
 @dataclass(frozen=True, eq=False)
 class JointDensity:
-    """Joint density (p_a, p_b) -> <x (x) y| sigma |x (x) y> on the product space."""
+    """Joint density (p_a, p_b) -> <x (x) y| sigma |x (x) y> on the product space.
+
+    Evaluated in factored form: with sigma = sum_k lambda_k |v_k><v_k|, the
+    density is ||(x (x) y) F||^2 for the (d_a d_b, r) eigenfactor
+    F = [conj(v_k) sqrt(lambda_k)], one GEMM of width r per batch and
+    non-negative by construction. The factor keeps the eigenvalues above
+    lambda_max * d_a d_b * eps (numpy's numerical-rank rule), which also
+    drops negative round-off, so r is the numerical rank of sigma.
+    """
 
     source: DensityMatrix
     dims: BipartiteDims
@@ -49,10 +57,10 @@ class JointDensity:
             raise DimensionMismatch(
                 f"state dim {self.source.dim} != dim_a*dim_b = {self.dims.joint}"
             )
-        tensor4 = self.source.matrix.reshape(
-            self.dims.dim_a, self.dims.dim_b, self.dims.dim_a, self.dims.dim_b
-        )
-        object.__setattr__(self, "_tensor4", tensor4)
+        vals, vecs = np.linalg.eigh(self.source.matrix)
+        keep = vals > vals[-1] * self.dims.joint * np.finfo(float).eps
+        factor = np.ascontiguousarray(vecs[:, keep].conj() * np.sqrt(vals[keep]))
+        object.__setattr__(self, "_factor", factor)
 
     def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:
         if p_a.dim != self.dims.dim_a or p_b.dim != self.dims.dim_b:
@@ -64,9 +72,10 @@ class JointDensity:
         )
 
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Quadratic form per row pair; rows need not be normalized."""
-        partial = np.einsum("bj,ijkl,bl->bik", ys.conj(), self._tensor4, ys, optimize=True)
-        return np.einsum("bi,bik,bk->b", xs.conj(), partial, xs, optimize=True).real
+        """Density per row pair; rows need not be normalized."""
+        rows = (xs[:, :, None] * ys[:, None, :]).reshape(xs.shape[0], self.dims.joint)
+        amp = (rows @ self._factor).view(float)
+        return np.einsum("bi,bi->b", amp, amp)
 
 
 def joint_density_eval(sigma: DensityMatrix, dims: BipartiteDims) -> JointDensity:

@@ -20,6 +20,7 @@ from .errors import (
     ReconstructionOutOfTolerance,
     ValidationError,
 )
+from .native import single_blas_thread
 from .states import DensityMatrix, validate_density
 
 DEFAULT_BATCH_SIZE = 4096
@@ -83,9 +84,13 @@ def _batches(cfg: SamplerConfig, dims: tuple, project: bool, batch_f):
         factors = []
         for n in dims:
             z = rng.standard_normal((m, 2 * n))
-            z = z[:, :n] + 1j * z[:, n:]
-            factors.append(z / np.linalg.norm(z, axis=1)[:, None] if project else z)
-        values = np.asarray(batch_f(*factors), dtype=float)
+            if project:
+                z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+            c = np.empty((m, n), dtype=complex)
+            c.real, c.imag = z[:, :n], z[:, n:]
+            factors.append(c)
+        with single_blas_thread():
+            values = np.asarray(batch_f(*factors), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
             bad = k * cfg.batch_size + int(np.argmin(finite))
@@ -98,26 +103,27 @@ def _estimate(cfg: SamplerConfig, dims: tuple, project: bool, batch_f, method: s
 
     The standard error estimates the per-sample standard deviation from the
     spread of batch means (single-batch runs fall back to the within-batch
-    spread) and divides by sqrt(n_samples).
+    spread of the centred values) and divides by sqrt(n_samples).
     """
-    results = [
-        (float(values.sum()), float(values @ values), values.size)
-        for _, values in _batches(cfg, dims, project, batch_f)
-    ]
+    results = []
+    for _, values in _batches(cfg, dims, project, batch_f):
+        results.append((float(values.sum()), values.size))
     total = 0.0
-    for batch_sum, _, _ in results:
+    for batch_sum, _ in results:
         total += batch_sum
     mean = total / cfg.n_samples
 
     if len(results) >= 2:
         spread = 0.0
-        for batch_sum, _, m in results:
+        for batch_sum, m in results:
             delta = batch_sum / m - mean
             spread += m * delta * delta
         var_sample = spread / (len(results) - 1)
     else:
-        _, sq, m = results[0]
-        var_sample = max(sq - m * mean * mean, 0.0) / (m - 1)
+        # One batch: ``values`` holds the whole sample. Centring first avoids
+        # the cancellation of sum(v^2) - m*mean^2.
+        centred = values - mean
+        var_sample = float(centred @ centred) / (values.size - 1)
     se = float(np.sqrt(var_sample / cfg.n_samples))
     return MCEstimate(mean, se, cfg.n_samples, cfg.seed, method)
 

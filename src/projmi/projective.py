@@ -89,7 +89,7 @@ def fs_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 def quadratic_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """<x|M|x> for each row x of ``rows``, complex; callers take ``.real``."""
-    return np.einsum("bi,ij,bj->b", rows.conj(), m, rows, optimize=True)
+    return np.einsum("bi,bi->b", rows.conj(), rows @ m.T)
 
 
 @dataclass(frozen=True, eq=False)

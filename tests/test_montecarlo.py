@@ -58,6 +58,14 @@ class TestIntegrateNu:
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("c", [0.1, 1000.1])
+    def test_single_batch_constant_has_rounding_level_se(self, c):
+        # sum(v^2) - m*mean^2 cancels catastrophically for an inexact constant.
+        est = pm.integrate_nu(
+            3, pm.SamplerConfig(1, 3000), batch_f=lambda x: np.full(x.shape[0], c)
+        )
+        assert est.std_error <= 1e-15 * c
+
     def test_linear_observable_matches_first_moment(self):
         a = np.diag([1.0, 2.0, 3.0])
         cfg = pm.SamplerConfig(3, 100_000)
