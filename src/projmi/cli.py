@@ -2,13 +2,14 @@
 machine-readable run records.
 
 Exit codes: 0 on success, 2 on usage/parse errors, 3 on numeric failures.
-Output goes to stdout as a single JSON object (default) or CSV; identical
-flags (including --seed) reproduce every field except runtime_ms.
+Output goes to stdout as JSON (default) or CSV; identical flags
+(including --seed) reproduce every field except runtime_ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -53,29 +54,6 @@ from .states import (
     von_neumann_entropy,
 )
 from .structure import assemble
-
-_RECORD_FIELDS = (
-    "command",
-    "state_spec",
-    "method",
-    "estimate",
-    "std_error",
-    "n_samples",
-    "seed",
-    "runtime_ms",
-    "version",
-)
-
-_SWEEP_FIELDS = (
-    "family",
-    "d",
-    "method",
-    "estimate",
-    "std_error",
-    "n_samples",
-    "seed",
-    "runtime_ms",
-)
 
 _NUMERIC_ERRORS = (
     NonFiniteSample,
@@ -165,62 +143,74 @@ def _pure_vector(sigma: DensityMatrix) -> np.ndarray:
     return vecs[:, -1]
 
 
-def _record(command: str, args, method: str, estimate, runtime_ms: int) -> dict:
-    if isinstance(estimate, MCEstimate):
-        value, se, n = estimate.mean, estimate.std_error, estimate.n_samples
-    else:
-        value, se, n = float(estimate), 0.0, 0
-    return {
-        "command": command,
-        "state_spec": args.state,
-        "method": method,
-        "estimate": value,
-        "std_error": se,
-        "n_samples": n,
-        "seed": args.seed,
-        "runtime_ms": runtime_ms,
-        "version": __version__,
-    }
+# Estimators by method name. Each entry looks its estimator up when called,
+# so a patched module global (as in tests) takes effect.
+_ENTROPY_METHODS = {
+    "canonical-mu": lambda sigma, cfg: differential_entropy_mu(sigma, cfg),
+    "gaussian-overlap": lambda sigma, cfg: pure_state_entropy_gaussian(_pure_vector(sigma), cfg),
+    "von-neumann": lambda sigma, cfg: von_neumann_entropy(sigma),
+}
+
+_MI_METHODS = {
+    "projective": lambda sigma, dims, cfg: classical_like_mi_projective(sigma, dims, cfg),
+    "gaussian-overlap": lambda sigma, dims, cfg: classical_like_mi_gaussian(sigma, dims, cfg),
+    "von-neumann": lambda sigma, dims, cfg: vn_mutual_information(sigma, dims),
+    "decomposition": lambda sigma, dims, cfg: entropy_decomposition_mi(sigma, dims, cfg),
+}
+
+_SWEEP_METHODS = {
+    **_MI_METHODS,
+    "closed-form": lambda sigma, dims, cfg: maxent_mi_closed_form(dims.dim_a),
+}
+
+# State spec of each sweep family at dimension d per factor.
+_SWEEP_FAMILIES = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
 
 
-def _emit_record(record: dict, out: str):
+def _result(value) -> dict:
+    """estimate, std_error and n_samples of a Monte Carlo estimate or an exact value."""
+    if isinstance(value, MCEstimate):
+        return {"estimate": value.mean, "std_error": value.std_error, "n_samples": value.n_samples}
+    return {"estimate": float(value), "std_error": 0.0, "n_samples": 0}
+
+
+def _records(args, results: dict, runtime_ms: int) -> list[dict]:
+    """One entropy/mi record per (method, value) of ``results``."""
+    return [
+        {
+            "command": args.subcommand,
+            "state_spec": args.state,
+            "method": method,
+            **_result(value),
+            "seed": args.seed,
+            "runtime_ms": runtime_ms,
+            "version": __version__,
+        }
+        for method, value in results.items()
+    ]
+
+
+def _emit(out: str, payload, rows: list[dict]):
+    """Print ``payload`` as JSON, or ``rows`` as CSV under a header of their keys."""
     if out == "json":
-        print(json.dumps(record))
-    else:
-        print(",".join(record.keys()))
-        print(",".join(_csv_cell(record[k]) for k in record))
+        print(json.dumps(payload))
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _estimate_dict(est: MCEstimate) -> dict:
-    return {
-        "estimate": est.mean,
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-        "method": est.method,
-    }
+def _elapsed_ms(start: float) -> int:
+    return int((time.perf_counter() - start) * 1000)
 
 
 def cmd_entropy(args) -> int:
     start = time.perf_counter()
     sigma, _ = resolve_state(args.state, args.seed, args.tol)
     cfg = SamplerConfig(args.seed, args.samples, args.batch)
-    if args.method == "von-neumann":
-        result = von_neumann_entropy(sigma)
-    elif args.method == "canonical-mu":
-        result = differential_entropy_mu(sigma, cfg)
-    elif args.method == "gaussian-overlap":
-        result = pure_state_entropy_gaussian(_pure_vector(sigma), cfg)
-    else:  # pragma: no cover - argparse choices guard this
-        raise BadParameter(f"unknown entropy method {args.method!r}")
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    _emit_record(_record("entropy", args, args.method, result, runtime_ms), args.out)
+    value = _ENTROPY_METHODS[args.method](sigma, cfg)
+    (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
+    _emit(args.out, record, [record])
     return 0
 
 
@@ -233,84 +223,57 @@ def cmd_mi(args) -> int:
             f"state dimension {sigma.dim} != dim_a*dim_b = {dims.joint}"
         )
     cfg = SamplerConfig(args.seed, args.samples, args.batch)
-    if args.method == "all":
-        report = mi_report(sigma, dims, cfg)
-        runtime_ms = int((time.perf_counter() - start) * 1000)
-        payload = {
-            "command": "mi",
-            "state_spec": args.state,
-            "method": "all",
-            "dims": [dims.dim_a, dims.dim_b],
-            "projective": _estimate_dict(report.projective),
-            "gaussian": _estimate_dict(report.gaussian),
-            "von_neumann": report.von_neumann,
-            "ratio_gaussian_over_projective": report.ratio_gaussian_over_projective,
-            "n_samples": args.samples,
-            "seed": args.seed,
-            "runtime_ms": runtime_ms,
-            "version": __version__,
-        }
-        if args.out == "json":
-            print(json.dumps(payload))
-        else:
-            print(",".join(_RECORD_FIELDS))
-            for name, est in (
-                ("projective", report.projective),
-                ("gaussian", report.gaussian),
-            ):
-                row = _record("mi", args, name, est, runtime_ms)
-                print(",".join(_csv_cell(row[k]) for k in _RECORD_FIELDS))
-            row = _record("mi", args, "von-neumann", report.von_neumann, runtime_ms)
-            print(",".join(_csv_cell(row[k]) for k in _RECORD_FIELDS))
+    if args.method != "all":
+        value = _MI_METHODS[args.method](sigma, dims, cfg)
+        (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
+        _emit(args.out, record, [record])
         return 0
-    if args.method == "von-neumann":
-        result = vn_mutual_information(sigma, dims)
-    elif args.method == "projective":
-        result = classical_like_mi_projective(sigma, dims, cfg)
-    elif args.method == "gaussian-overlap":
-        result = classical_like_mi_gaussian(sigma, dims, cfg)
-    elif args.method == "decomposition":
-        result = entropy_decomposition_mi(sigma, dims, cfg)
-    else:  # pragma: no cover - argparse choices guard this
-        raise BadParameter(f"unknown mi method {args.method!r}")
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    _emit_record(_record("mi", args, args.method, result, runtime_ms), args.out)
+    report = mi_report(sigma, dims, cfg)
+    runtime_ms = _elapsed_ms(start)
+    estimates = {"projective": report.projective, "gaussian": report.gaussian}
+    payload = {
+        "command": "mi",
+        "state_spec": args.state,
+        "method": "all",
+        "dims": [dims.dim_a, dims.dim_b],
+        **{
+            name: {**_result(est), "seed": est.seed, "method": est.method}
+            for name, est in estimates.items()
+        },
+        "von_neumann": report.von_neumann,
+        "ratio_gaussian_over_projective": report.ratio_gaussian_over_projective,
+        "n_samples": args.samples,
+        "seed": args.seed,
+        "runtime_ms": runtime_ms,
+        "version": __version__,
+    }
+    rows = _records(args, {**estimates, "von-neumann": report.von_neumann}, runtime_ms)
+    _emit(args.out, payload, rows)
     return 0
 
 
 def _parse_d_range(text: str) -> list[int]:
     raw = text.strip()
-    if ":" in raw:
-        lo, _, hi = raw.partition(":")
-        try:
-            start, stop = int(lo), int(hi)
-        except ValueError as exc:
-            raise BadParameter(f"--d-range expects LO:HI or a comma list, got {text!r}") from exc
-        values = list(range(start, stop + 1))
-    else:
-        try:
+    try:
+        if ":" in raw:
+            lo, _, hi = raw.partition(":")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
             values = [int(p) for p in raw.split(",") if p.strip()]
-        except ValueError as exc:
-            raise BadParameter(f"--d-range expects LO:HI or a comma list, got {text!r}") from exc
+    except ValueError as exc:
+        raise BadParameter(f"--d-range expects LO:HI or a comma list, got {text!r}") from exc
     if not values or any(d < 3 for d in values):
         raise BadParameter(f"every d in --d-range must be >= 3, got {text!r}")
     return values
 
 
-def _sweep_state(family: str, d: int, seed: int) -> DensityMatrix:
-    if family == "maxent":
-        return make_state(f"maxent:d={d}", seed)
-    if family == "product":
-        return make_state(f"product:a.n={d},b.n={d}", seed)
-    raise BadParameter(f"sweep family must be 'maxent' or 'product', got {family!r}")
-
-
 def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    allowed = {"von-neumann", "projective", "gaussian-overlap", "decomposition", "closed-form"}
-    unknown = [m for m in methods if m not in allowed]
+    unknown = [m for m in methods if m not in _SWEEP_METHODS]
     if unknown:
-        raise BadParameter(f"unknown sweep method(s) {unknown}; choose from {sorted(allowed)}")
+        raise BadParameter(
+            f"unknown sweep method(s) {unknown}; choose from {sorted(_SWEEP_METHODS)}"
+        )
     if not methods:
         raise BadParameter("sweep needs at least one method")
     if "closed-form" in methods and args.family != "maxent":
@@ -319,48 +282,28 @@ def cmd_sweep(args) -> int:
     rows = []
     for d in _parse_d_range(args.d_range):
         dims = BipartiteDims(d, d)
-        sigma = _sweep_state(args.family, d, args.seed)
+        sigma = make_state(_SWEEP_FAMILIES[args.family].format(d=d), args.seed)
         for method in methods:
             start = time.perf_counter()
             cfg = SamplerConfig(args.seed, args.samples, args.batch)
-            if method == "von-neumann":
-                est, se, n = vn_mutual_information(sigma, dims), 0.0, 0
-            elif method == "closed-form":
-                est, se, n = maxent_mi_closed_form(d), 0.0, 0
-            else:
-                runner = {
-                    "projective": classical_like_mi_projective,
-                    "gaussian-overlap": classical_like_mi_gaussian,
-                    "decomposition": entropy_decomposition_mi,
-                }[method]
-                mc = runner(sigma, dims, cfg)
-                est, se, n = mc.mean, mc.std_error, mc.n_samples
-            runtime_ms = int((time.perf_counter() - start) * 1000)
+            value = _SWEEP_METHODS[method](sigma, dims, cfg)
             rows.append(
                 {
                     "family": args.family,
                     "d": d,
                     "method": method,
-                    "estimate": est,
-                    "std_error": se,
-                    "n_samples": n,
+                    **_result(value),
                     "seed": args.seed,
-                    "runtime_ms": runtime_ms,
+                    "runtime_ms": _elapsed_ms(start),
                 }
             )
-
-    if args.out == "json":
-        print(json.dumps(rows))
-    else:
-        print(",".join(_SWEEP_FIELDS))
-        for row in rows:
-            print(",".join(_csv_cell(row[k]) for k in _SWEEP_FIELDS))
+    _emit(args.out, rows, rows)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", default="1e5", help="sample count, e.g. 100000 or 1e6")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2^64)")
     parser.add_argument("--batch", type=int, default=4096, help="samples per batch")
     parser.add_argument("--out", choices=("json", "csv"), default=None)
     parser.add_argument("--tol", type=float, default=1e-10,
@@ -379,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument(
         "--method",
         required=True,
-        choices=("canonical-mu", "gaussian-overlap", "von-neumann"),
+        choices=tuple(_ENTROPY_METHODS),
     )
     _add_common(p_entropy)
     p_entropy.set_defaults(handler=cmd_entropy, default_out="json")
@@ -389,19 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi.add_argument(
         "--method",
         required=True,
-        choices=("projective", "gaussian-overlap", "von-neumann", "decomposition", "all"),
+        choices=(*_MI_METHODS, "all"),
     )
     p_mi.add_argument("--dims", default=None, help="subsystem dims NA,NB when not inferable")
     _add_common(p_mi)
     p_mi.set_defaults(handler=cmd_mi, default_out="json")
 
     p_sweep = sub.add_parser("sweep", help="estimate across a range of dimensions, CSV out")
-    p_sweep.add_argument("--family", required=True, choices=("maxent", "product"))
+    p_sweep.add_argument("--family", required=True, choices=tuple(_SWEEP_FAMILIES))
     p_sweep.add_argument("--d-range", required=True, help="inclusive range LO:HI or comma list")
     p_sweep.add_argument(
         "--method",
         required=True,
-        help="comma list from: von-neumann, projective, gaussian-overlap, decomposition, closed-form",
+        help="comma list from: " + ", ".join(_SWEEP_METHODS),
     )
     _add_common(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep, default_out="csv")
@@ -420,6 +363,8 @@ def main(argv=None) -> int:
         args.samples = _parse_samples(args.samples)
         if not args.tol >= 0.0:
             raise BadParameter(f"--tol must be a number >= 0, got {args.tol!r}")
+        if not 0 <= args.seed < 2**64:
+            raise BadParameter(f"--seed must be an integer in [0, 2^64), got {args.seed}")
         if args.out is None:
             args.out = args.default_out
         with single_blas_thread():

@@ -27,7 +27,7 @@ from .montecarlo import (
     integrate_mu,
     integrate_product_nu,
 )
-from .projective import ProjectivePoint, liouville_density, quadratic_form
+from .projective import ProjectivePoint, liouville_density
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -210,15 +210,13 @@ def check_marginal_support(
     return mask
 
 
-def classical_like_mi_projective(
-    sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig
-) -> MCEstimate:
-    """Mutual information of the embedded joint density over the product of
-    invariant measures, with exact partial-trace marginals, in bits."""
+def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims, scale: float):
+    """Batch integrand scale * W log2(W / (W_A W_B)) of both classical-like MI
+    estimators: W = <x (x) y|sigma|x (x) y> and W_A, W_B the quadratic forms
+    of the partial-trace marginals at x and y; zero off the joint support."""
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
-    scale = float(dims.dim_a * dims.dim_b)
 
     def batch(xs, ys):
         w = joint.eval_batch(xs, ys)
@@ -230,6 +228,15 @@ def classical_like_mi_projective(
         out[mask] = scale * wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
         return out
 
+    return batch
+
+
+def classical_like_mi_projective(
+    sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig
+) -> MCEstimate:
+    """Mutual information of the embedded joint density over the product of
+    invariant measures, with exact partial-trace marginals, in bits."""
+    batch = _log_ratio_integrand(sigma, dims, float(dims.dim_a * dims.dim_b))
     est = integrate_product_nu(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
     return replace(est, method="mi_projective")
 
@@ -240,20 +247,7 @@ def classical_like_mi_gaussian(
     """The same log-ratio averaged with raw Gaussian weights:
     E[ W log2(W / (W_A W_B)) ] for W = <x (x) y|sigma|x (x) y> and marginal
     quadratic forms W_A, W_B of unnormalized x, y."""
-    joint = joint_density_eval(sigma, dims)
-    sig_a = partial_trace(sigma, dims, "A").matrix
-    sig_b = partial_trace(sigma, dims, "B").matrix
-
-    def batch(xs, ys):
-        w = joint.eval_batch(xs, ys)
-        wa = quadratic_form(xs, sig_a).real
-        wb = quadratic_form(ys, sig_b).real
-        mask = check_marginal_support(w, wa, wb)
-        out = np.zeros_like(w)
-        wm = w[mask]
-        out[mask] = wm * (np.log2(wm) - np.log2(wa[mask]) - np.log2(wb[mask]))
-        return out
-
+    batch = _log_ratio_integrand(sigma, dims, 1.0)
     est = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
     return replace(est, method="mi_gaussian")
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import csv
 import json
 import re
 import subprocess
@@ -21,6 +22,21 @@ def run_cli(capsys, *argv):
 
 def strip_runtime(text: str) -> str:
     return re.sub(r'"runtime_ms": \d+', '"runtime_ms": X', text)
+
+
+def assert_record(got: dict, expected: dict):
+    """Same keys in the same order and the same values; floats to 1e-12
+    relative (BLAS rounding), runtime_ms only typed."""
+    assert list(got) == list(expected)
+    for key, want in expected.items():
+        if key == "runtime_ms":
+            assert isinstance(got[key], int)
+        elif isinstance(want, dict):
+            assert_record(got[key], want)
+        elif isinstance(want, float):
+            assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+        else:
+            assert got[key] == want, key
 
 
 class TestEntropyCommand:
@@ -215,6 +231,87 @@ class TestSweepCommand:
         assert [r["method"] for r in rows] == ["von-neumann", "closed-form"]
 
 
+class TestRecords:
+    """Record shapes and values recorded before the record builders were
+    merged into one emitter."""
+
+    RECORD = (
+        "command", "state_spec", "method", "estimate", "std_error",
+        "n_samples", "seed", "runtime_ms", "version",
+    )
+    SWEEP_ROW = (
+        "family", "d", "method", "estimate", "std_error", "n_samples", "seed", "runtime_ms",
+    )
+
+    def test_record_shapes(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "entropy", "--state", "pure_random:n=4,seed=1",
+            "--method", "canonical-mu", "--samples", "1e4", "--seed", "3",
+        )
+        assert_record(json.loads(out), dict(zip(self.RECORD, (
+            "entropy", "pure_random:n=4,seed=1", "canonical-mu", 1.565227911188651,
+            0.009536854743968294, 10000, 3, 0, pm.__version__,
+        ))))
+
+        argv = ("mi", "--state", "maxent:d=3", "--method", "all", "--samples", "1e4", "--seed", "42")
+        _, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert_record(payload, {
+            "command": "mi", "state_spec": "maxent:d=3", "method": "all", "dims": [3, 3],
+            "projective": {
+                "estimate": 0.37951153064807286, "std_error": 0.013412972441769349,
+                "n_samples": 10000, "seed": 7982153555191239694, "method": "mi_projective",
+            },
+            "gaussian": {
+                "estimate": 1.5134367454022766, "std_error": 0.02265125341699842,
+                "n_samples": 10000, "seed": 9818578461784308409, "method": "mi_gaussian",
+            },
+            "von_neumann": 3.16992500144231,
+            "ratio_gaussian_over_projective": 3.9878544475785924,
+            "n_samples": 10000, "seed": 42, "runtime_ms": 0, "version": pm.__version__,
+        })
+        _, out, _ = run_cli(capsys, *argv, "--out", "csv")
+        header, *rows = csv.reader(out.splitlines())
+        assert tuple(header) == self.RECORD
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [r["method"] for r in rows] == ["projective", "gaussian", "von-neumann"]
+        for row, key in zip(rows, ("projective", "gaussian")):
+            assert float(row["estimate"]) == payload[key]["estimate"]
+            assert float(row["std_error"]) == payload[key]["std_error"]
+            assert (row["n_samples"], row["seed"]) == ("10000", "42")
+        assert float(rows[2]["estimate"]) == payload["von_neumann"]
+        assert (rows[2]["std_error"], rows[2]["n_samples"]) == ("0.0", "0")
+
+        argv = (
+            "sweep", "--family", "maxent", "--d-range", "3:3",
+            "--method", "projective,closed-form", "--samples", "1e4", "--seed", "2",
+        )
+        _, out, _ = run_cli(capsys, *argv, "--out", "json")
+        first, second = json.loads(out)
+        assert_record(first, dict(zip(self.SWEEP_ROW, (
+            "maxent", 3, "projective", 0.4001238443236322, 0.009134371679241214, 10000, 2, 0,
+        ))))
+        assert_record(second, dict(zip(self.SWEEP_ROW, (
+            "maxent", 3, "closed-form", 4.8048602279453485, 0.0, 0, 2, 0,
+        ))))
+        _, out, _ = run_cli(capsys, *argv)
+        assert out.splitlines()[0] == ",".join(self.SWEEP_ROW)
+
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--state", "pure_random:n=4,seed=1", "--method", "gaussian-overlap"),
+        ("mi", "--state", "product:a.n=3,b.n=3", "--method", "projective"),
+        ("mi", "--state", "product:a.n=3,b.n=3", "--method", "all"),
+    ])
+    def test_csv_quotes_comma_bearing_spec(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--samples", "2000", "--out", "csv")
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            assert dict(zip(header, row))["state_spec"] == argv[2]
+
+
 class TestReproducibility:
     def test_identical_flags_identical_output(self, capsys):
         argv = (
@@ -262,6 +359,24 @@ class TestUsageErrors:
         )
         assert code == 2
         assert err.startswith("projmi: --tol")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exit_2(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "mi", "--state", "maxent:d=3", "--method", "projective",
+            "--samples", "100", "--seed", str(seed),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("projmi: --seed")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, capsys, seed):
+        code, out, _ = run_cli(
+            capsys, "mi", "--state", "maxent:d=3", "--method", "projective",
+            "--samples", "100", "--seed", str(seed),
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_state_file_exit_2(self, capsys, tmp_path, value):
