@@ -26,6 +26,7 @@ from .montecarlo import (
     gaussian_pair_expectation,
     integrate_mu,
     integrate_product_nu,
+    project_rows,
 )
 from .projective import ProjectivePoint, liouville_density
 from .states import (
@@ -93,27 +94,16 @@ class McMarginal:
 
     def __call__(self, p: ProjectivePoint) -> MCEstimate:
         dims = self.joint.dims
-        if self.integrate_out == "A":
-            if p.dim != dims.dim_b:
-                raise DimensionMismatch(f"point dim {p.dim} != dim_b {dims.dim_b}")
-            fixed = p.vector[None, :]
+        out_a = self.integrate_out == "A"
+        kept, free = (dims.dim_b, dims.dim_a) if out_a else (dims.dim_a, dims.dim_b)
+        if p.dim != kept:
+            raise DimensionMismatch(f"point dim {p.dim} != kept factor dim {kept}")
 
-            def batch(points):
-                ys = np.broadcast_to(fixed, (points.shape[0], dims.dim_b))
-                return self.joint.eval_batch(points, ys)
+        def batch(points):
+            held = np.broadcast_to(p.vector, (len(points), kept))
+            return self.joint.eval_batch(*((points, held) if out_a else (held, points)))
 
-            est = integrate_mu(dims.dim_a, self.cfg, batch_f=batch)
-        else:
-            if p.dim != dims.dim_a:
-                raise DimensionMismatch(f"point dim {p.dim} != dim_a {dims.dim_a}")
-            fixed = p.vector[None, :]
-
-            def batch(points):
-                xs = np.broadcast_to(fixed, (points.shape[0], dims.dim_a))
-                return self.joint.eval_batch(xs, points)
-
-            est = integrate_mu(dims.dim_b, self.cfg, batch_f=batch)
-        return replace(est, method="marginal_mc")
+        return replace(integrate_mu(free, self.cfg, batch_f=batch), method="marginal_mc")
 
 
 def marginal_density(
@@ -154,11 +144,7 @@ def _entropy_terms(w: np.ndarray) -> np.ndarray:
 def differential_entropy_mu(sigma: DensityMatrix, cfg: SamplerConfig) -> MCEstimate:
     """-integral of rho log2 rho over the mass-n invariant measure, in bits."""
     density = liouville_density(sigma)
-
-    def batch(points):
-        return _entropy_terms(density.eval_batch(points))
-
-    est = integrate_mu(sigma.dim, cfg, batch_f=batch)
+    est = integrate_mu(sigma.dim, cfg, batch_f=lambda ps: _entropy_terms(density.eval_batch(ps)))
     return replace(est, method="entropy_mu")
 
 
@@ -182,16 +168,9 @@ def pure_state_entropy_gaussian(psi: np.ndarray, cfg: SamplerConfig) -> MCEstima
     if abs(norm - 1.0) > 1e-12:
         raise BadParameter(f"psi must be unit norm, got {norm!r}")
     conj = v.conj()
-
-    def batch(xs):
-        w = np.abs(xs @ conj) ** 2
-        out = np.zeros_like(w)
-        mask = w > 0.0
-        wm = w[mask]
-        out[mask] = -wm * np.log2(wm)
-        return out
-
-    est = gaussian_expectation(v.shape[0], cfg, batch_f=batch)
+    est = gaussian_expectation(
+        v.shape[0], cfg, batch_f=lambda xs: _entropy_terms(np.abs(xs @ conj) ** 2)
+    )
     return replace(est, method="entropy_gaussian")
 
 
@@ -210,25 +189,36 @@ def check_marginal_support(
     return mask
 
 
-def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims, scale: float):
-    """Batch integrand scale * W log2(W / (W_A W_B)) of both classical-like MI
-    estimators: W = <x (x) y|sigma|x (x) y> and W_A, W_B the quadratic forms
-    of the partial-trace marginals at x and y; zero off the joint support."""
+def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims):
+    """Batch integrand of both classical-like MI estimators on raw Gaussian
+    rows x = r_x x^, y = r_y y^: columns [d_a d_b L, r_x^2 r_y^2 L] for
+    L = W log2(W / (W_A W_B)) on the unit rows (zero off the joint support),
+    W the joint density and W_A, W_B the marginal quadratic forms. The radii
+    cancel in the log ratio, so L is the raw-row sample divided by r_x^2 r_y^2."""
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
 
     def batch(xs, ys):
+        xs, rx2 = project_rows(xs)
+        ys, ry2 = project_rows(ys)
         w = joint.eval_batch(xs, ys)
         a = marg_a.eval_batch(xs)
         b = marg_b.eval_batch(ys)
         mask = check_marginal_support(w, a, b)
-        out = np.zeros_like(w)
+        term = np.zeros_like(w)
         wm = w[mask]
-        out[mask] = scale * wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
-        return out
+        term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
+        return np.column_stack((dims.joint * term, rx2 * ry2 * term))
 
     return batch
+
+
+def _classical_like_mi(sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig):
+    """The projective and Gaussian-overlap MI estimates from one engine run."""
+    batch = _log_ratio_integrand(sigma, dims)
+    p, g = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    return replace(p, method="mi_projective"), replace(g, method="mi_gaussian")
 
 
 def classical_like_mi_projective(
@@ -236,9 +226,7 @@ def classical_like_mi_projective(
 ) -> MCEstimate:
     """Mutual information of the embedded joint density over the product of
     invariant measures, with exact partial-trace marginals, in bits."""
-    batch = _log_ratio_integrand(sigma, dims, float(dims.dim_a * dims.dim_b))
-    est = integrate_product_nu(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
-    return replace(est, method="mi_projective")
+    return _classical_like_mi(sigma, dims, cfg)[0]
 
 
 def classical_like_mi_gaussian(
@@ -247,9 +235,7 @@ def classical_like_mi_gaussian(
     """The same log-ratio averaged with raw Gaussian weights:
     E[ W log2(W / (W_A W_B)) ] for W = <x (x) y|sigma|x (x) y> and marginal
     quadratic forms W_A, W_B of unnormalized x, y."""
-    batch = _log_ratio_integrand(sigma, dims, 1.0)
-    est = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
-    return replace(est, method="mi_gaussian")
+    return _classical_like_mi(sigma, dims, cfg)[1]
 
 
 def entropy_decomposition_mi(
@@ -289,6 +275,7 @@ def maxent_mi_closed_form(d: int) -> float:
 class MIReport:
     """Side-by-side mutual-information estimates for one bipartite state.
 
+    ``projective`` and ``gaussian`` share one draw and one seed; their errors correlate.
     ``ratio_gaussian_over_projective`` is a measured quantity, defined only
     when the projective mean is resolved beyond 5 standard errors and above
     the double-precision floor (a product state's integrand cancels to
@@ -304,10 +291,10 @@ class MIReport:
 
 
 def mi_report(sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig) -> MIReport:
-    """Run both MI estimators plus the spectral MI and report their ratio."""
-    seed_p, seed_g = derived_seeds(cfg.seed, 2)
-    projective = classical_like_mi_projective(sigma, dims, replace(cfg, seed=seed_p))
-    gaussian = classical_like_mi_gaussian(sigma, dims, replace(cfg, seed=seed_g))
+    """Both MI estimators from one engine run at the first derived seed of
+    ``cfg.seed``, the spectral MI, and the ratio of the two estimates."""
+    (seed,) = derived_seeds(cfg.seed, 1)
+    projective, gaussian = _classical_like_mi(sigma, dims, replace(cfg, seed=seed))
     vn = vn_mutual_information(sigma, dims)
     resolved = abs(projective.mean) > max(5.0 * projective.std_error, 1e-12)
     ratio = gaussian.mean / projective.mean if resolved else None

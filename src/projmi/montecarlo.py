@@ -2,10 +2,10 @@
 
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
-projecting them to the unit sphere; the raw-Gaussian estimators skip the
-projection. One sequential loop draws, evaluates and checks every batch: the
-stream of batch k is derived from (seed, k) and batches are reduced in
-ascending k, so a fixed seed reproduces every estimate bit for bit.
+projecting them to the unit sphere. One sequential loop draws raw vectors,
+evaluates and checks every batch: the stream of batch k is derived from
+(seed, k) and batches are reduced in ascending k, so a fixed seed reproduces
+every estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from .native import single_blas_thread
 from .states import DensityMatrix, validate_density
 
 DEFAULT_BATCH_SIZE = 4096
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed, sample count and batch size of one Monte Carlo run.
+    """Seed in [0, 2^64), sample count and batch size of one Monte Carlo run.
 
     ``batch_size`` is clamped to ``n_samples`` so every batch is nonempty.
     """
@@ -39,6 +38,8 @@ class SamplerConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise BadParameter(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.n_samples < 2:
             raise BadParameter(f"n_samples must be >= 2, got {self.n_samples}")
         if self.batch_size < 1:
@@ -60,7 +61,7 @@ class MCEstimate:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic generator for batch ``index`` of a run seeded by ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, index]))
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
 def gaussian_sample(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,13 +70,27 @@ def gaussian_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return z[:n] + 1j * z[n:]
 
 
-def _batches(cfg: SamplerConfig, dims: tuple, project: bool, batch_f):
+def project_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalise the rows of a C-contiguous complex (m, n) array in place;
+    return it and the squared norm r^2 of each original row."""
+    v = z.view(float)
+    r2 = np.einsum("ij,ij->i", v, v)
+    v /= np.sqrt(r2)[:, None]
+    return z, r2
+
+
+def _on_rays(batch_f):
+    """``batch_f`` applied to the drawn rows after projecting them in place."""
+    return lambda *factors: batch_f(*(project_rows(z)[0] for z in factors))
+
+
+def _batches(cfg: SamplerConfig, dims: tuple, batch_f):
     """Yield ``(factors, values)`` for each batch of the run, in order.
 
-    Batch k draws one (m, n) complex Gaussian array per entry of ``dims``
-    from the substream of (cfg.seed, k), projects its rows to unit vectors
-    when ``project`` is set, and evaluates ``batch_f(*factors)`` to m reals;
-    a non-finite value is an error naming its absolute sample index.
+    Batch k draws one raw (m, n) complex Gaussian array per entry of ``dims``
+    from the substream of (cfg.seed, k) and evaluates ``batch_f(*factors)``
+    to one value, or one row of values, per sample; a non-finite value is an
+    error naming its absolute sample index.
     """
     full, rem = divmod(cfg.n_samples, cfg.batch_size)
     sizes = [cfg.batch_size] * full + ([rem] if rem else [])
@@ -84,8 +99,6 @@ def _batches(cfg: SamplerConfig, dims: tuple, project: bool, batch_f):
         factors = []
         for n in dims:
             z = rng.standard_normal((m, 2 * n))
-            if project:
-                z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
             c = np.empty((m, n), dtype=complex)
             c.real, c.imag = z[:, :n], z[:, n:]
             factors.append(c)
@@ -93,39 +106,39 @@ def _batches(cfg: SamplerConfig, dims: tuple, project: bool, batch_f):
             values = np.asarray(batch_f(*factors), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
-            bad = k * cfg.batch_size + int(np.argmin(finite))
+            bad = k * cfg.batch_size + int(np.argmin(finite)) // (values.size // m)
             raise NonFiniteSample(f"integrand returned a non-finite value at sample {bad}")
         yield factors, values
 
 
-def _estimate(cfg: SamplerConfig, dims: tuple, project: bool, batch_f, method: str):
-    """Mean and standard error of the integrand over all batches.
+def _estimate(cfg: SamplerConfig, dims: tuple, batch_f, method: str):
+    """Mean and standard error of the integrand, column by column.
 
-    The standard error estimates the per-sample standard deviation from the
-    spread of batch means (single-batch runs fall back to the within-batch
-    spread of the centred values) and divides by sqrt(n_samples).
+    An integrand of m reals gives one MCEstimate, one of (m, k) arrays a
+    tuple of k from the same draws. The standard error estimates the
+    per-sample standard deviation from the spread of batch means (one batch:
+    the spread of its centred values) and divides by sqrt(n_samples).
     """
-    results = []
-    for _, values in _batches(cfg, dims, project, batch_f):
-        results.append((float(values.sum()), values.size))
-    total = 0.0
-    for batch_sum, _ in results:
-        total += batch_sum
-    mean = total / cfg.n_samples
-
-    if len(results) >= 2:
-        spread = 0.0
-        for batch_sum, m in results:
-            delta = batch_sum / m - mean
-            spread += m * delta * delta
-        var_sample = spread / (len(results) - 1)
+    sums, sizes = [], []
+    for _, values in _batches(cfg, dims, batch_f):
+        columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
+        sums.append([c.sum() for c in columns])
+        sizes.append([len(values)])
+    # Reduce over batches in batch order: sum() would pair the terms.
+    sums, sizes = np.array(sums), np.array(sizes)
+    mean = np.cumsum(sums, axis=0)[-1] / cfg.n_samples
+    if len(sums) >= 2:
+        deltas = sums / sizes - mean
+        var = np.cumsum(sizes * deltas * deltas, axis=0)[-1] / (len(sums) - 1)
     else:
-        # One batch: ``values`` holds the whole sample. Centring first avoids
-        # the cancellation of sum(v^2) - m*mean^2.
-        centred = values - mean
-        var_sample = float(centred @ centred) / (values.size - 1)
-    se = float(np.sqrt(var_sample / cfg.n_samples))
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, method)
+        # Centring first avoids the cancellation of sum(v^2) - m*mean^2.
+        centred = columns - mean[:, None]
+        var = np.einsum("ij,ij->i", centred, centred) / (len(values) - 1)
+    estimates = tuple(
+        MCEstimate(float(mu), float(np.sqrt(v / cfg.n_samples)), cfg.n_samples, cfg.seed, method)
+        for mu, v in zip(mean, var)
+    )
+    return estimates if values.ndim == 2 else estimates[0]
 
 
 def integrate_nu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
@@ -133,7 +146,7 @@ def integrate_nu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
 
     ``batch_f`` maps an (m, n) array of unit rows to m reals.
     """
-    return _estimate(cfg, (n,), True, batch_f, "nu")
+    return _estimate(cfg, (n,), _on_rays(batch_f), "nu")
 
 
 def integrate_mu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
@@ -145,19 +158,17 @@ def integrate_mu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
 def integrate_product_nu(n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
     """Integral of ``batch_f(xs, ys)`` over independent invariant directions
     of two factors (unit rows of widths n_a and n_b)."""
-    return _estimate(cfg, (n_a, n_b), True, batch_f, "product_nu")
+    return _estimate(cfg, (n_a, n_b), _on_rays(batch_f), "product_nu")
 
 
 def gaussian_expectation(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
     """Expectation of ``batch_f(xs)`` over raw (unnormalized) standard complex Gaussians."""
-    return _estimate(cfg, (n,), False, batch_f, "gaussian")
+    return _estimate(cfg, (n,), batch_f, "gaussian")
 
 
-def gaussian_pair_expectation(
-    n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f
-) -> MCEstimate:
-    """Expectation of ``batch_f(xs, ys)`` over independent raw Gaussian vectors."""
-    return _estimate(cfg, (n_a, n_b), False, batch_f, "gaussian_pair")
+def gaussian_pair_expectation(n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f):
+    """Expectation of ``batch_f(xs, ys)`` over independent raw Gaussian vectors, per column."""
+    return _estimate(cfg, (n_a, n_b), batch_f, "gaussian_pair")
 
 
 def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> DensityMatrix:
@@ -169,7 +180,8 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
     5e-2, then clamped and trace-normalized to a strictly valid state.
     """
     accum = np.zeros((n, n), dtype=complex)
-    for (points,), weights in _batches(cfg, (n,), True, batch_f):
+    # _on_rays projects the yielded rows in place, so ``points`` are unit rows.
+    for (points,), weights in _batches(cfg, (n,), _on_rays(batch_f)):
         accum += np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)
 
     moment = accum / cfg.n_samples

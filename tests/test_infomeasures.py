@@ -1,5 +1,7 @@
 """Tests for the entropy and mutual-information estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from projmi import oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import check_marginal_support
+from projmi.states import derived_seeds
 
 from helpers import agree_within, random_point, random_product_state
 
@@ -290,6 +293,30 @@ class TestMiReport:
         b = pm.mi_report(sigma, DIMS33, pm.SamplerConfig(7, 20_000))
         assert a.projective == b.projective
         assert a.gaussian == b.gaussian
+
+    @pytest.mark.parametrize("sigma, dims", [
+        (pm.maximally_entangled(3), DIMS33),
+        (pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)),
+    ], ids=["maxent3x3", "mixed3x4"])
+    def test_entries_are_the_standalone_estimators(self, sigma, dims):
+        # One fused pass at the first derived seed yields both estimators.
+        cfg = pm.SamplerConfig(5, 20_000)
+        report = pm.mi_report(sigma, dims, cfg)
+        at = replace(cfg, seed=derived_seeds(cfg.seed, 1)[0])
+        assert report.projective == pm.classical_like_mi_projective(sigma, dims, at)
+        assert report.gaussian == pm.classical_like_mi_gaussian(sigma, dims, at)
+
+    @pytest.mark.parametrize("sigma", [pm.maximally_entangled(3), pm.mixed_random(9, 9, 7)],
+                             ids=["maxent3x3", "mixed9x9"])
+    def test_ratio_is_four(self, sigma):
+        # E[r_x^2 r_y^2] = 4 d_a d_b. The band treats the two estimates as
+        # independent; they share their draws and correlate positively, so
+        # it is wider than needed.
+        report = pm.mi_report(sigma, DIMS33, pm.SamplerConfig(11, 200_000))
+        p, g = report.projective, report.gaussian
+        ratio = report.ratio_gaussian_over_projective
+        rel_se = np.hypot(p.std_error / p.mean, g.std_error / g.mean)
+        assert abs(ratio - 4.0) <= 4.0 * ratio * rel_se
 
 
 class TestMarginalSupportGuard:

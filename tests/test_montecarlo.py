@@ -27,6 +27,18 @@ class TestSamplerConfig:
         with pytest.raises(BadParameter):
             pm.SamplerConfig(seed=0, n_samples=10, batch_size=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_range_rejected(self, seed):
+        # Seeds used to be reduced mod 2^64 while MCEstimate.seed kept the
+        # unreduced value, so -1 ran the stream of 2^64 - 1.
+        with pytest.raises(BadParameter, match="seed"):
+            pm.SamplerConfig(seed=seed, n_samples=10)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        est = pm.integrate_nu(3, pm.SamplerConfig(seed, 10), batch_f=ones)
+        assert (est.mean, est.seed) == (1.0, seed)
+
 
 class TestGaussianSample:
     def test_repeatable_for_fixed_seed_and_index(self):
@@ -119,6 +131,40 @@ class TestIntegrateNu:
 
         with pytest.raises(NonFiniteSample, match="sample 5"):
             pm.integrate_nu(3, pm.SamplerConfig(0, 4000), batch_f=batch)
+
+
+class TestColumns:
+    """An (m, k) integrand yields k estimates from one pass over the draws."""
+
+    def test_columns_equal_separate_runs(self):
+        rho = pm.liouville_density(pm.mixed_random(3, 3, 5))
+
+        def first(xs, ys):
+            return rho.eval_batch(xs)
+
+        def second(xs, ys):
+            return rho.eval_batch(ys) ** 2
+
+        # One batch, three, and forty, where summing the batch totals pairwise
+        # instead of in batch order would round differently for one column.
+        for cfg in (pm.SamplerConfig(4, 3000), pm.SamplerConfig(4, 10_000),
+                    pm.SamplerConfig(4, 10_000, batch_size=250)):
+            both = pm.gaussian_pair_expectation(
+                3, 3, cfg, batch_f=lambda xs, ys: np.column_stack((first(xs, ys), second(xs, ys)))
+            )
+            alone = tuple(
+                pm.gaussian_pair_expectation(3, 3, cfg, batch_f=f) for f in (first, second)
+            )
+            assert both == alone
+
+    def test_non_finite_names_the_row(self):
+        def batch(xs, ys):
+            out = np.ones((len(xs), 2))
+            out[5, 1] = np.nan
+            return out
+
+        with pytest.raises(NonFiniteSample, match="sample 5$"):
+            pm.gaussian_pair_expectation(3, 3, pm.SamplerConfig(0, 100), batch_f=batch)
 
 
 class TestIntegrateMu:
