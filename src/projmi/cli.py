@@ -43,7 +43,7 @@ from .infomeasures import (
     pure_state_entropy_gaussian,
 )
 from .io import load_mixture, load_state
-from .montecarlo import MCEstimate, SamplerConfig
+from .montecarlo import DEFAULT_BATCH_SIZE, MCEstimate, SamplerConfig
 from .native import keep_freed_memory, single_blas_thread
 from .states import (
     BipartiteDims,
@@ -304,7 +304,7 @@ def cmd_sweep(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", default="1e5", help="sample count, e.g. 100000 or 1e6")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2^64)")
-    parser.add_argument("--batch", type=int, default=4096, help="samples per batch")
+    parser.add_argument("--batch", type=int, default=DEFAULT_BATCH_SIZE, help="samples per batch")
     parser.add_argument("--out", choices=("json", "csv"), default=None)
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="validation tolerance for states loaded from files")

@@ -28,7 +28,7 @@ from .montecarlo import (
     integrate_product_nu,
     project_rows,
 )
-from .projective import ProjectivePoint, liouville_density
+from .projective import ProjectivePoint, eigenfactor, factored_density, liouville_density
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -42,12 +42,9 @@ from .states import (
 class JointDensity:
     """Joint density (p_a, p_b) -> <x (x) y| sigma |x (x) y> on the product space.
 
-    Evaluated in factored form: with sigma = sum_k lambda_k |v_k><v_k|, the
-    density is ||(x (x) y) F||^2 for the (d_a d_b, r) eigenfactor
-    F = [conj(v_k) sqrt(lambda_k)], one GEMM of width r per batch and
-    non-negative by construction. The factor keeps the eigenvalues above
-    lambda_max * d_a d_b * eps (numpy's numerical-rank rule), which also
-    drops negative round-off, so r is the numerical rank of sigma.
+    Evaluated as ||(x (x) y) F||^2 from the state's eigenfactor F (see
+    ``projective.eigenfactor``), built once here: one GEMM of width
+    rank(sigma) per batch on the Kronecker rows, non-negative by construction.
     """
 
     source: DensityMatrix
@@ -58,25 +55,18 @@ class JointDensity:
             raise DimensionMismatch(
                 f"state dim {self.source.dim} != dim_a*dim_b = {self.dims.joint}"
             )
-        vals, vecs = np.linalg.eigh(self.source.matrix)
-        keep = vals > vals[-1] * self.dims.joint * np.finfo(float).eps
-        factor = np.ascontiguousarray(vecs[:, keep].conj() * np.sqrt(vals[keep]))
-        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_factor", eigenfactor(self.source))
 
     def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:
-        if p_a.dim != self.dims.dim_a or p_b.dim != self.dims.dim_b:
-            raise DimensionMismatch(
-                f"point dims ({p_a.dim}, {p_b.dim}) != ({self.dims.dim_a}, {self.dims.dim_b})"
-            )
-        return float(
-            self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0]
-        )
+        return float(self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0])
 
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Density per row pair; rows need not be normalized."""
+        if xs.shape[1:] != (self.dims.dim_a,) or ys.shape[1:] != (self.dims.dim_b,):
+            raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
+                                    f"(m, {self.dims.dim_a}), (m, {self.dims.dim_b})")
         rows = (xs[:, :, None] * ys[:, None, :]).reshape(xs.shape[0], self.dims.joint)
-        amp = (rows @ self._factor).view(float)
-        return np.einsum("bi,bi->b", amp, amp)
+        return factored_density(rows, self._factor)
 
 
 def joint_density_eval(sigma: DensityMatrix, dims: BipartiteDims) -> JointDensity:
@@ -161,15 +151,9 @@ def pure_state_entropy_gaussian(psi: np.ndarray, cfg: SamplerConfig) -> MCEstima
     """Entropy from unnormalized overlaps: -E[ |<psi|x>|^2 log2 |<psi|x>|^2 ]
     over raw Gaussian x. Converges to the same constant for every unit psi
     and every dimension."""
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise BadParameter(f"psi must be a vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise BadParameter(f"psi must be unit norm, got {norm!r}")
-    conj = v.conj()
+    factor = ProjectivePoint(psi).vector.conj()[:, None]  # validates a unit vector
     est = gaussian_expectation(
-        v.shape[0], cfg, batch_f=lambda xs: _entropy_terms(np.abs(xs @ conj) ** 2)
+        len(factor), cfg, batch_f=lambda xs: _entropy_terms(factored_density(xs, factor))
     )
     return replace(est, method="entropy_gaussian")
 
@@ -198,14 +182,17 @@ def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims):
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
+    done = 0  # rows of earlier batches, so an anomaly names its absolute index
 
     def batch(xs, ys):
+        nonlocal done
         xs, rx2 = project_rows(xs)
         ys, ry2 = project_rows(ys)
         w = joint.eval_batch(xs, ys)
         a = marg_a.eval_batch(xs)
         b = marg_b.eval_batch(ys)
-        mask = check_marginal_support(w, a, b)
+        mask = check_marginal_support(w, a, b, offset=done)
+        done += len(w)
         term = np.zeros_like(w)
         wm = w[mask]
         term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))

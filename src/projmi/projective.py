@@ -18,7 +18,6 @@ from .errors import (
     EigenDecompositionFailure,
     InvalidFrame,
     NotHermitian,
-    ProjmiError,
     ZeroVector,
 )
 from .states import DensityMatrix, HermitianOperator, haar_unitary, matrix_of
@@ -92,30 +91,49 @@ def quadratic_form(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", rows.conj(), rows @ m.T)
 
 
+def eigenfactor(sigma: DensityMatrix) -> np.ndarray:
+    """The (n, r) factor F = [conj(v_k) sqrt(lambda_k)] of a state
+    sigma = sum_k lambda_k |v_k><v_k|, so that <x|sigma|x> = ||x F||^2.
+
+    F keeps the eigenvalues above lambda_max * n * eps (numpy's numerical-rank
+    rule, which also drops negative round-off), so r is the numerical rank of
+    sigma. An unvalidated non-Hermitian state raises NotHermitian: eigh would
+    silently read one triangle of it.
+    """
+    m = sigma.matrix
+    gap = float(np.max(np.abs(m - m.conj().T)))
+    if gap > VALIDATION_TOL:
+        raise NotHermitian(f"state is not Hermitian: max |M - M^dag| = {gap:.3e}")
+    vals, vecs = np.linalg.eigh(m)
+    keep = vals > vals[-1] * sigma.dim * np.finfo(float).eps
+    return np.ascontiguousarray(vecs[:, keep].conj() * np.sqrt(vals[keep]))
+
+
+def factored_density(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """||x F||^2 for each row x of ``rows``, the density of the state with
+    eigenfactor F: real and non-negative by construction."""
+    amp = (rows @ factor).view(float)
+    return np.einsum("bi,bi->b", amp, amp)
+
+
 @dataclass(frozen=True, eq=False)
 class LiouvilleDensity:
-    """Evaluatable density p -> tr(sigma p) on projective space for a state sigma."""
+    """Evaluatable density p -> tr(sigma p) on projective space for a state
+    sigma, evaluated as ||x F||^2 from the eigenfactor F built once here."""
 
     source: DensityMatrix
 
+    def __post_init__(self):
+        object.__setattr__(self, "_factor", eigenfactor(self.source))
+
     def __call__(self, p: ProjectivePoint) -> float:
-        if p.dim != self.source.dim:
-            raise DimensionMismatch(f"point dim {p.dim} != state dim {self.source.dim}")
-        value = complex(np.vdot(p.vector, self.source.matrix @ p.vector))
-        if abs(value.imag) > 1e-12:
-            raise ProjmiError(f"density evaluated to non-real value {value!r}")
-        return float(value.real)
+        return float(self.eval_batch(p.vector[None, :])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on rows of ``points`` (unit representatives)."""
-        if points.shape[1] != self.source.dim:
-            raise DimensionMismatch(
-                f"batch dim {points.shape[1]} != state dim {self.source.dim}"
-            )
-        values = quadratic_form(points, self.source.matrix)
-        if values.size and float(np.max(np.abs(values.imag))) > 1e-12:
-            raise ProjmiError("density evaluated to non-real values in batch")
-        return values.real
+        """Density per row of ``points``; rows need not be normalized."""
+        if points.shape[1:] != (self.source.dim,):
+            raise DimensionMismatch(f"batch shape {points.shape} != (m, {self.source.dim})")
+        return factored_density(points, self._factor)
 
 
 def liouville_density(sigma: DensityMatrix) -> LiouvilleDensity:
@@ -134,19 +152,12 @@ class ObservableFunction:
         return float(self.operator.dim + 1)
 
     def __call__(self, p: ProjectivePoint) -> float:
-        if p.dim != self.operator.dim:
-            raise DimensionMismatch(f"point dim {p.dim} != operator dim {self.operator.dim}")
-        a = self.operator.matrix
-        return float(
-            self.kappa * np.vdot(p.vector, a @ p.vector).real - np.trace(a).real
-        )
+        return float(self.eval_batch(p.vector[None, :])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         a = self.operator.matrix
-        if points.shape[1] != self.operator.dim:
-            raise DimensionMismatch(
-                f"batch dim {points.shape[1]} != operator dim {self.operator.dim}"
-            )
+        if points.shape[1:] != (self.operator.dim,):
+            raise DimensionMismatch(f"batch shape {points.shape} != (m, {self.operator.dim})")
         quad = quadratic_form(points, a).real
         return self.kappa * quad - np.trace(a).real
 

@@ -10,6 +10,7 @@ from projmi import oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import check_marginal_support
+from projmi.projective import LiouvilleDensity
 from projmi.states import derived_seeds
 
 from helpers import agree_within, random_point, random_product_state
@@ -325,6 +326,23 @@ class TestMarginalSupportGuard:
             check_marginal_support(
                 np.array([1e-3]), np.array([0.0]), np.array([0.5]), offset=4096
             )
+
+    def test_run_names_the_absolute_sample(self, monkeypatch):
+        # Marginal A (the width-3 kernel) vanishes at row 4 of the second batch.
+        original = LiouvilleDensity.eval_batch
+        widths = []
+
+        def patched(self, points):
+            values = original(self, points)
+            widths.append(points.shape[1])
+            if widths.count(3) == 2 and points.shape[1] == 3:
+                values[4] = 0.0
+            return values
+
+        monkeypatch.setattr(LiouvilleDensity, "eval_batch", patched)
+        sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
+        with pytest.raises(MarginalZeroAnomaly, match="sample 4100$"):
+            pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 8192, 4096))
 
     def test_zero_joint_passes(self):
         mask = check_marginal_support(

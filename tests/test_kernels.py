@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import projmi as pm
+from projmi import infomeasures
+from projmi.errors import DimensionMismatch, NotHermitian
 from projmi.projective import quadratic_form
 
 
@@ -16,6 +18,11 @@ def gaussian_rows(rng, m, n):
 def unit_rows(rng, m, n):
     z = gaussian_rows(rng, m, n)
     return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+def explicit_density(sigma, xs):
+    """<x|sigma|x> one row at a time."""
+    return np.array([np.vdot(x, sigma.matrix @ x).real for x in xs])
 
 
 def explicit_joint(sigma, xs, ys):
@@ -112,6 +119,21 @@ class TestJointDensityKernel:
         assert joint._factor.shape == (n, rank)
         assert np.all(got >= 0.0)
         np.testing.assert_allclose(got, explicit_joint(sigma, xs, ys), rtol=0, atol=1e-14)
+        rho = pm.liouville_density(sigma)
+        rows = unit_rows(rng, 16, n)
+        assert rho._factor.shape == (n, rank)
+        got = rho.eval_batch(rows)
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got, explicit_density(sigma, rows), rtol=0, atol=1e-14)
+
+    def test_factor_widths_are_checked(self):
+        # A swapped 3 x 4 pair has the right joint width 12 and used to pass.
+        joint = pm.joint_density_eval(pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4))
+        rng = np.random.default_rng(5)
+        xs, ys = unit_rows(rng, 8, 3), unit_rows(rng, 8, 4)
+        for bad in [(ys, xs), (xs, xs), (xs[:, :2], ys), (xs[0], ys[0])]:
+            with pytest.raises(DimensionMismatch):
+                joint.eval_batch(*bad)
 
 
 class TestQuadraticForm:
@@ -122,3 +144,99 @@ class TestQuadraticForm:
         rows = gaussian_rows(rng, 50, 4)
         expected = np.array([np.vdot(x, m @ x) for x in rows])
         np.testing.assert_allclose(quadratic_form(rows, m), expected, rtol=1e-13, atol=0)
+
+
+LIOUVILLE_STATES = {
+    "pure4": lambda: pm.pure_random(4, 21),
+    "rank2_5": lambda: pm.mixed_random(5, 2, 22),
+    "full_6": lambda: pm.mixed_random(6, None, 23),
+    "maxmixed3": lambda: pm.validate_density(np.eye(3) / 3),
+}
+
+
+class TestLiouvilleDensityKernel:
+    @pytest.mark.parametrize("name", sorted(LIOUVILLE_STATES))
+    def test_unit_rows_match_explicit(self, name):
+        sigma = LIOUVILLE_STATES[name]()
+        xs = unit_rows(np.random.default_rng(1), 200, sigma.dim)
+        got = pm.liouville_density(sigma).eval_batch(xs)
+        np.testing.assert_allclose(got, explicit_density(sigma, xs), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(LIOUVILLE_STATES))
+    def test_unnormalised_rows_match_explicit(self, name):
+        sigma = LIOUVILLE_STATES[name]()
+        xs = gaussian_rows(np.random.default_rng(2), 200, sigma.dim)
+        got = pm.liouville_density(sigma).eval_batch(xs)
+        scale = np.sum(np.abs(xs) ** 2, axis=1)
+        assert np.all(np.abs(got - explicit_density(sigma, xs)) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_factor_width_is_the_rank(self, d):
+        marginal = pm.partial_trace(pm.maximally_entangled(d), pm.BipartiteDims(d, d), "A")
+        assert pm.liouville_density(marginal)._factor.shape == (d, d)
+        assert pm.liouville_density(pm.pure_random(d, 3))._factor.shape == (d, 1)
+
+    def test_width_is_checked(self):
+        rho = pm.liouville_density(pm.mixed_random(4, None, 24))
+        for bad in [np.ones((2, 3), complex), np.ones(4, complex)]:
+            with pytest.raises(DimensionMismatch):
+                rho.eval_batch(bad)
+
+    def test_non_hermitian_state_raises(self):
+        # Built directly, a DensityMatrix skips validation.
+        m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        m[0, 1] = 1e-3
+        sigma = pm.DensityMatrix(m)
+        with pytest.raises(NotHermitian):
+            pm.liouville_density(sigma)
+        with pytest.raises(NotHermitian):
+            pm.differential_entropy_mu(sigma, pm.SamplerConfig(0, 100))
+        joint = pm.DensityMatrix(np.kron(m, np.eye(3) / 3))
+        with pytest.raises(NotHermitian):
+            pm.joint_density_eval(joint, pm.BipartiteDims(3, 3))
+
+
+class TestScalarCalls:
+    """Each evaluator's scalar call is its batch kernel on one row."""
+
+    def test_liouville(self):
+        rng = np.random.default_rng(7)
+        rho = pm.liouville_density(pm.mixed_random(5, 3, 25))
+        xs = unit_rows(rng, 20, 5)
+        batch = rho.eval_batch(xs)
+        for x, want in zip(xs, batch):
+            assert rho(pm.ProjectivePoint(x)) == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    def test_observable(self):
+        rng = np.random.default_rng(8)
+        h = gaussian_rows(rng, 4, 4)
+        f = pm.observable_function((h + h.conj().T) / 2)
+        xs = unit_rows(rng, 20, 4)
+        batch = f.eval_batch(xs)
+        for x, want in zip(xs, batch):
+            assert f(pm.ProjectivePoint(x)) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_joint(self):
+        rng = np.random.default_rng(9)
+        joint = pm.joint_density_eval(pm.mixed_random(12, 5, 26), pm.BipartiteDims(3, 4))
+        xs, ys = unit_rows(rng, 20, 3), unit_rows(rng, 20, 4)
+        batch = joint.eval_batch(xs, ys)
+        for x, y, want in zip(xs, ys, batch):
+            got = joint(pm.ProjectivePoint(x), pm.ProjectivePoint(y))
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+
+def test_pure_state_gaussian_term_is_the_overlap(monkeypatch):
+    # -u log2 u for u = |<psi|x>|^2 on raw Gaussian rows.
+    captured = {}
+
+    def capture(n, cfg, *, batch_f):
+        captured["batch_f"] = batch_f
+        return pm.MCEstimate(0.0, 0.0, cfg.n_samples, cfg.seed, "gaussian")
+
+    monkeypatch.setattr(infomeasures, "gaussian_expectation", capture)
+    psi = pm.project(gaussian_rows(np.random.default_rng(10), 1, 5)[0]).vector
+    pm.pure_state_entropy_gaussian(psi, pm.SamplerConfig(0, 100))
+    xs = gaussian_rows(np.random.default_rng(11), 200, 5)
+    u = np.array([abs(np.vdot(psi, x)) ** 2 for x in xs])
+    np.testing.assert_allclose(captured["batch_f"](xs), -u * np.log2(u), rtol=1e-13, atol=0)
