@@ -43,7 +43,7 @@ from .infomeasures import (
     pure_state_entropy_gaussian,
 )
 from .io import load_mixture, load_state
-from .montecarlo import DEFAULT_BATCH_SIZE, MCEstimate, SamplerConfig
+from .montecarlo import MCEstimate, SamplerConfig
 from .native import keep_freed_memory, single_blas_thread
 from .states import (
     BipartiteDims,
@@ -207,7 +207,7 @@ def _elapsed_ms(start: float) -> int:
 def cmd_entropy(args) -> int:
     start = time.perf_counter()
     sigma, _ = resolve_state(args.state, args.seed, args.tol)
-    cfg = SamplerConfig(args.seed, args.samples, args.batch)
+    cfg = SamplerConfig(args.seed, args.samples)
     value = _ENTROPY_METHODS[args.method](sigma, cfg)
     (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
     _emit(args.out, record, [record])
@@ -222,7 +222,7 @@ def cmd_mi(args) -> int:
         raise DimensionMismatch(
             f"state dimension {sigma.dim} != dim_a*dim_b = {dims.joint}"
         )
-    cfg = SamplerConfig(args.seed, args.samples, args.batch)
+    cfg = SamplerConfig(args.seed, args.samples)
     if args.method != "all":
         value = _MI_METHODS[args.method](sigma, dims, cfg)
         (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
@@ -285,7 +285,7 @@ def cmd_sweep(args) -> int:
         sigma = make_state(_SWEEP_FAMILIES[args.family].format(d=d), args.seed)
         for method in methods:
             start = time.perf_counter()
-            cfg = SamplerConfig(args.seed, args.samples, args.batch)
+            cfg = SamplerConfig(args.seed, args.samples)
             value = _SWEEP_METHODS[method](sigma, dims, cfg)
             rows.append(
                 {
@@ -304,7 +304,6 @@ def cmd_sweep(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", default="1e5", help="sample count, e.g. 100000 or 1e6")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2^64)")
-    parser.add_argument("--batch", type=int, default=DEFAULT_BATCH_SIZE, help="samples per batch")
     parser.add_argument("--out", choices=("json", "csv"), default=None)
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="validation tolerance for states loaded from files")

@@ -32,7 +32,6 @@ from .projective import ProjectivePoint, eigenfactor, factored_density, liouvill
 from .states import (
     BipartiteDims,
     DensityMatrix,
-    derived_seeds,
     partial_trace,
     vn_mutual_information,
 )
@@ -228,25 +227,26 @@ def classical_like_mi_gaussian(
 def entropy_decomposition_mi(
     sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig
 ) -> MCEstimate:
-    """h_A + h_B - h_joint with marginal entropies over each factor's measure
-    and the joint entropy over the product space; agrees with the projective
-    MI estimator up to Monte Carlo error."""
-    seed_a, seed_b, seed_j = derived_seeds(cfg.seed, 3)
-    h_a = differential_entropy_mu(partial_trace(sigma, dims, "A"), replace(cfg, seed=seed_a))
-    h_b = differential_entropy_mu(partial_trace(sigma, dims, "B"), replace(cfg, seed=seed_b))
+    """h_A + h_B - h_joint from one engine run at ``cfg``.
 
+    h_A's measure is the x-marginal of the product of invariant measures
+    (and likewise h_B's), so the sum is one integral over independent
+    directions x, y of d_a e_A(x) + d_b e_B(y) - d_a d_b e_J(x, y), with e
+    the -w log2 w terms of the marginal Liouville densities and of the joint
+    density. It agrees with the projective MI estimator up to Monte Carlo
+    error; one draw for all three terms lets their correlation lower the SE.
+    """
     joint = joint_density_eval(sigma, dims)
-    scale = float(dims.dim_a * dims.dim_b)
+    marg_a = liouville_density(partial_trace(sigma, dims, "A"))
+    marg_b = liouville_density(partial_trace(sigma, dims, "B"))
 
     def batch(xs, ys):
-        return scale * _entropy_terms(joint.eval_batch(xs, ys))
+        return (dims.dim_a * _entropy_terms(marg_a.eval_batch(xs))
+                + dims.dim_b * _entropy_terms(marg_b.eval_batch(ys))
+                - dims.joint * _entropy_terms(joint.eval_batch(xs, ys)))
 
-    h_joint = integrate_product_nu(
-        dims.dim_a, dims.dim_b, replace(cfg, seed=seed_j), batch_f=batch
-    )
-    mean = h_a.mean + h_b.mean - h_joint.mean
-    se = float(np.sqrt(h_a.std_error**2 + h_b.std_error**2 + h_joint.std_error**2))
-    return MCEstimate(mean, se, cfg.n_samples, cfg.seed, "mi_decomposition")
+    est = integrate_product_nu(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    return replace(est, method="mi_decomposition")
 
 
 def maxent_mi_closed_form(d: int) -> float:
@@ -262,7 +262,8 @@ def maxent_mi_closed_form(d: int) -> float:
 class MIReport:
     """Side-by-side mutual-information estimates for one bipartite state.
 
-    ``projective`` and ``gaussian`` share one draw and one seed; their errors correlate.
+    ``projective`` and ``gaussian`` are the standalone estimators at the same
+    SamplerConfig: they share one draw and one seed, and their errors correlate.
     ``ratio_gaussian_over_projective`` is a measured quantity, defined only
     when the projective mean is resolved beyond 5 standard errors and above
     the double-precision floor (a product state's integrand cancels to
@@ -278,10 +279,9 @@ class MIReport:
 
 
 def mi_report(sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig) -> MIReport:
-    """Both MI estimators from one engine run at the first derived seed of
-    ``cfg.seed``, the spectral MI, and the ratio of the two estimates."""
-    (seed,) = derived_seeds(cfg.seed, 1)
-    projective, gaussian = _classical_like_mi(sigma, dims, replace(cfg, seed=seed))
+    """Both MI estimators from one engine run at ``cfg``, the spectral MI,
+    and the ratio of the two estimates."""
+    projective, gaussian = _classical_like_mi(sigma, dims, cfg)
     vn = vn_mutual_information(sigma, dims)
     resolved = abs(projective.mean) > max(5.0 * projective.std_error, 1e-12)
     ratio = gaussian.mean / projective.mean if resolved else None

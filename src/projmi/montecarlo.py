@@ -3,9 +3,11 @@
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
 projecting them to the unit sphere. One sequential loop draws raw vectors,
-evaluates and checks every batch: the stream of batch k is derived from
-(seed, k) and batches are reduced in ascending k, so a fixed seed reproduces
-every estimate bit for bit.
+evaluates and checks every block: a run of n samples is cut into blocks of
+BLOCK rows (the last one shorter), block k draws from the stream of
+(seed, k), and blocks are reduced in ascending k. An estimate and its
+standard error therefore depend on (seed, n_samples) only and reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,29 +25,23 @@ from .errors import (
 from .native import single_blas_thread
 from .states import DensityMatrix, validate_density
 
-DEFAULT_BATCH_SIZE = 4096
+# Rows per block. Fixed, so that the stream and the standard error depend on
+# (seed, n_samples) only; larger blocks raise the peak memory of wide kernels.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed in [0, 2^64), sample count and batch size of one Monte Carlo run.
-
-    ``batch_size`` is clamped to ``n_samples`` so every batch is nonempty.
-    """
+    """Seed in [0, 2^64) and sample count of one Monte Carlo run."""
 
     seed: int
     n_samples: int
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise BadParameter(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.n_samples < 2:
             raise BadParameter(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.batch_size < 1:
-            raise BadParameter(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.batch_size > self.n_samples:
-            object.__setattr__(self, "batch_size", self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class MCEstimate:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic generator for batch ``index`` of a run seeded by ``seed``."""
+    """Deterministic generator for block ``index`` of a run seeded by ``seed``."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -84,17 +80,17 @@ def _on_rays(batch_f):
     return lambda *factors: batch_f(*(project_rows(z)[0] for z in factors))
 
 
-def _batches(cfg: SamplerConfig, dims: tuple, batch_f):
-    """Yield ``(factors, values)`` for each batch of the run, in order.
+def _blocks(cfg: SamplerConfig, dims: tuple, batch_f):
+    """Yield ``(factors, values)`` for each block of the run, in order.
 
-    Batch k draws one raw (m, n) complex Gaussian array per entry of ``dims``
-    from the substream of (cfg.seed, k) and evaluates ``batch_f(*factors)``
-    to one value, or one row of values, per sample; a non-finite value is an
-    error naming its absolute sample index.
+    Block k has min(BLOCK, rows left) rows m. It draws one raw (m, n) complex
+    Gaussian array per entry of ``dims`` from the substream of (cfg.seed, k)
+    and evaluates ``batch_f(*factors)`` to one value, or one row of values,
+    per sample; a non-finite value is an error naming its absolute sample
+    index.
     """
-    full, rem = divmod(cfg.n_samples, cfg.batch_size)
-    sizes = [cfg.batch_size] * full + ([rem] if rem else [])
-    for k, m in enumerate(sizes):
+    for k, start in enumerate(range(0, cfg.n_samples, BLOCK)):
+        m = min(BLOCK, cfg.n_samples - start)
         rng = substream(cfg.seed, k)
         factors = []
         for n in dims:
@@ -106,7 +102,7 @@ def _batches(cfg: SamplerConfig, dims: tuple, batch_f):
             values = np.asarray(batch_f(*factors), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
-            bad = k * cfg.batch_size + int(np.argmin(finite)) // (values.size // m)
+            bad = start + int(np.argmin(finite)) // (values.size // m)
             raise NonFiniteSample(f"integrand returned a non-finite value at sample {bad}")
         yield factors, values
 
@@ -115,25 +111,26 @@ def _estimate(cfg: SamplerConfig, dims: tuple, batch_f, method: str):
     """Mean and standard error of the integrand, column by column.
 
     An integrand of m reals gives one MCEstimate, one of (m, k) arrays a
-    tuple of k from the same draws. The standard error estimates the
-    per-sample standard deviation from the spread of batch means (one batch:
-    the spread of its centred values) and divides by sqrt(n_samples).
+    tuple of k from the same draws. The standard error is the pooled
+    per-sample standard deviation over sqrt(n_samples): each block's sum of
+    squared deviations from its own mean, merged across blocks as in Chan,
+    Golub and LeVeque (1979), var = (sum_b M2_b + sum_b m_b (mean_b -
+    mean)^2) / (n - 1). Centring within a block avoids the cancellation of
+    sum(v^2) - m mean^2.
     """
-    sums, sizes = [], []
-    for _, values in _batches(cfg, dims, batch_f):
+    sums, m2s, sizes = [], [], []
+    for _, values in _blocks(cfg, dims, batch_f):
         columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
-        sums.append([c.sum() for c in columns])
+        block_sums = columns.sum(axis=1)
+        centred = columns - (block_sums / len(values))[:, None]
+        sums.append(block_sums)
+        m2s.append(np.einsum("ij,ij->i", centred, centred))
         sizes.append([len(values)])
-    # Reduce over batches in batch order: sum() would pair the terms.
-    sums, sizes = np.array(sums), np.array(sizes)
+    # Reduce over blocks in block order: sum() would pair the terms.
+    sums, m2s, sizes = np.array(sums), np.array(m2s), np.array(sizes)
     mean = np.cumsum(sums, axis=0)[-1] / cfg.n_samples
-    if len(sums) >= 2:
-        deltas = sums / sizes - mean
-        var = np.cumsum(sizes * deltas * deltas, axis=0)[-1] / (len(sums) - 1)
-    else:
-        # Centring first avoids the cancellation of sum(v^2) - m*mean^2.
-        centred = columns - mean[:, None]
-        var = np.einsum("ij,ij->i", centred, centred) / (len(values) - 1)
+    deltas = sums / sizes - mean
+    var = np.cumsum(m2s + sizes * deltas * deltas, axis=0)[-1] / (cfg.n_samples - 1)
     estimates = tuple(
         MCEstimate(float(mu), float(np.sqrt(v / cfg.n_samples)), cfg.n_samples, cfg.seed, method)
         for mu, v in zip(mean, var)
@@ -181,7 +178,7 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
     """
     accum = np.zeros((n, n), dtype=complex)
     # _on_rays projects the yielded rows in place, so ``points`` are unit rows.
-    for (points,), weights in _batches(cfg, (n,), _on_rays(batch_f)):
+    for (points,), weights in _blocks(cfg, (n,), _on_rays(batch_f)):
         accum += np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)
 
     moment = accum / cfg.n_samples

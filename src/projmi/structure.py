@@ -74,14 +74,15 @@ class RestrictedDensity:
     mixture: SeparableMixture
 
     def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:
-        dims = self.mixture.dims
-        if p_a.dim != dims.dim_a or p_b.dim != dims.dim_b:
-            raise DimensionMismatch(
-                f"point dims ({p_a.dim}, {p_b.dim}) != ({dims.dim_a}, {dims.dim_b})"
-            )
         return float(self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0])
 
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Density per row pair, summed component by component with
+        ``quadratic_form`` (an independent reference for the joint kernel)."""
+        dims = self.mixture.dims
+        if xs.shape[1:] != (dims.dim_a,) or ys.shape[1:] != (dims.dim_b,):
+            raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
+                                    f"(m, {dims.dim_a}), (m, {dims.dim_b})")
         total = np.zeros(xs.shape[0])
         for w, (a, b) in zip(self.mixture.weights, self.mixture.components):
             va = quadratic_form(xs, a.matrix).real

@@ -1,17 +1,19 @@
 """Tests for the command-line front end."""
 
+import argparse
 import csv
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projmi as pm
 from projmi import io
-from projmi.cli import main
+from projmi.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -234,7 +236,9 @@ class TestSweepCommand:
 class TestRecords:
     """Record shapes and values recorded before the record builders were
     merged into one emitter. The `mi --method all` Gaussian entry was
-    recorded again when both MI estimators moved onto one shared draw."""
+    recorded again when both MI estimators moved onto one shared draw, and
+    every standard error and both `mi --method all` entries when the SE
+    became the pooled per-sample SE and that draw moved to `--seed`."""
 
     RECORD = (
         "command", "state_spec", "method", "estimate", "std_error",
@@ -251,7 +255,7 @@ class TestRecords:
         )
         assert_record(json.loads(out), dict(zip(self.RECORD, (
             "entropy", "pure_random:n=4,seed=1", "canonical-mu", 1.565227911188651,
-            0.009536854743968294, 10000, 3, 0, pm.__version__,
+            0.005569025615555772, 10000, 3, 0, pm.__version__,
         ))))
 
         argv = ("mi", "--state", "maxent:d=3", "--method", "all", "--samples", "1e4", "--seed", "42")
@@ -260,15 +264,15 @@ class TestRecords:
         assert_record(payload, {
             "command": "mi", "state_spec": "maxent:d=3", "method": "all", "dims": [3, 3],
             "projective": {
-                "estimate": 0.37951153064807286, "std_error": 0.013412972441769349,
-                "n_samples": 10000, "seed": 7982153555191239694, "method": "mi_projective",
+                "estimate": 0.3717523578266655, "std_error": 0.010870463925039825,
+                "n_samples": 10000, "seed": 42, "method": "mi_projective",
             },
             "gaussian": {
-                "estimate": 1.4927616664123529, "std_error": 0.06496574136840019,
-                "n_samples": 10000, "seed": 7982153555191239694, "method": "mi_gaussian",
+                "estimate": 1.438293032042708, "std_error": 0.05775608153732632,
+                "n_samples": 10000, "seed": 42, "method": "mi_gaussian",
             },
             "von_neumann": 3.16992500144231,
-            "ratio_gaussian_over_projective": 3.933376316295946,
+            "ratio_gaussian_over_projective": 3.8689546999815705,
             "n_samples": 10000, "seed": 42, "runtime_ms": 0, "version": pm.__version__,
         })
         _, out, _ = run_cli(capsys, *argv, "--out", "csv")
@@ -290,7 +294,7 @@ class TestRecords:
         _, out, _ = run_cli(capsys, *argv, "--out", "json")
         first, second = json.loads(out)
         assert_record(first, dict(zip(self.SWEEP_ROW, (
-            "maxent", 3, "projective", 0.4001238443236322, 0.009134371679241214, 10000, 2, 0,
+            "maxent", 3, "projective", 0.4001238443236322, 0.011243785899820226, 10000, 2, 0,
         ))))
         assert_record(second, dict(zip(self.SWEEP_ROW, (
             "maxent", 3, "closed-form", 4.8048602279453485, 0.0, 0, 2, 0,
@@ -407,6 +411,23 @@ class TestUsageErrors:
         )
         assert code == 3
         assert "numeric failure" in err
+
+
+class TestReadme:
+    def test_flag_sentence_names_every_option(self):
+        # The README lists the flags in one sentence; a flag added to or
+        # removed from the parser must change it too.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"Flags: (.*?)\.\s", readme, re.S).group(1)
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            option
+            for parser in sub.choices.values()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == options
 
 
 class TestEntryPoints:

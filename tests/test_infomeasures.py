@@ -1,17 +1,14 @@
 """Tests for the entropy and mutual-information estimators."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import oracles
+from projmi import montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import check_marginal_support
 from projmi.projective import LiouvilleDensity
-from projmi.states import derived_seeds
 
 from helpers import agree_within, random_point, random_product_state
 
@@ -257,6 +254,19 @@ class TestEntropyDecomposition:
             b = pm.classical_like_mi_projective(sigma, DIMS33, pm.SamplerConfig(seed + 50, 50_000))
             assert agree_within(a, b)
 
+    def test_one_engine_run(self, monkeypatch):
+        # 10_000 samples are three blocks, each drawn from one substream.
+        calls = []
+        original = montecarlo.substream
+
+        def counted(seed, index):
+            calls.append(index)
+            return original(seed, index)
+
+        monkeypatch.setattr(montecarlo, "substream", counted)
+        pm.entropy_decomposition_mi(pm.mixed_random(9, 9, 7), DIMS33, pm.SamplerConfig(3, 10_000))
+        assert calls == [0, 1, 2]
+
 
 class TestMaxentClosedForm:
     def test_values(self):
@@ -300,12 +310,11 @@ class TestMiReport:
         (pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)),
     ], ids=["maxent3x3", "mixed3x4"])
     def test_entries_are_the_standalone_estimators(self, sigma, dims):
-        # One fused pass at the first derived seed yields both estimators.
+        # One fused pass at cfg itself yields both estimators.
         cfg = pm.SamplerConfig(5, 20_000)
         report = pm.mi_report(sigma, dims, cfg)
-        at = replace(cfg, seed=derived_seeds(cfg.seed, 1)[0])
-        assert report.projective == pm.classical_like_mi_projective(sigma, dims, at)
-        assert report.gaussian == pm.classical_like_mi_gaussian(sigma, dims, at)
+        assert report.projective == pm.classical_like_mi_projective(sigma, dims, cfg)
+        assert report.gaussian == pm.classical_like_mi_gaussian(sigma, dims, cfg)
 
     @pytest.mark.parametrize("sigma", [pm.maximally_entangled(3), pm.mixed_random(9, 9, 7)],
                              ids=["maxent3x3", "mixed9x9"])
@@ -342,7 +351,7 @@ class TestMarginalSupportGuard:
         monkeypatch.setattr(LiouvilleDensity, "eval_batch", patched)
         sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
         with pytest.raises(MarginalZeroAnomaly, match="sample 4100$"):
-            pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 8192, 4096))
+            pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 8192))
 
     def test_zero_joint_passes(self):
         mask = check_marginal_support(

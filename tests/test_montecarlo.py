@@ -5,7 +5,9 @@ import pytest
 
 import projmi as pm
 from projmi import oracles
+from projmi.constants import LOG2_E
 from projmi.errors import BadParameter, NonFiniteSample, ReconstructionOutOfTolerance
+from projmi.montecarlo import BLOCK
 
 from helpers import random_hermitian
 
@@ -15,17 +17,9 @@ def ones(*factors):
 
 
 class TestSamplerConfig:
-    def test_batch_size_clamped_to_n_samples(self):
-        cfg = pm.SamplerConfig(seed=0, n_samples=100)
-        assert cfg.batch_size == 100
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(BadParameter):
             pm.SamplerConfig(seed=0, n_samples=1)
-
-    def test_bad_batch_rejected(self):
-        with pytest.raises(BadParameter):
-            pm.SamplerConfig(seed=0, n_samples=10, batch_size=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_range_rejected(self, seed):
@@ -145,10 +139,10 @@ class TestColumns:
         def second(xs, ys):
             return rho.eval_batch(ys) ** 2
 
-        # One batch, three, and forty, where summing the batch totals pairwise
-        # instead of in batch order would round differently for one column.
+        # One block, three, and forty, where summing the block totals pairwise
+        # instead of in block order would round differently for one column.
         for cfg in (pm.SamplerConfig(4, 3000), pm.SamplerConfig(4, 10_000),
-                    pm.SamplerConfig(4, 10_000, batch_size=250)):
+                    pm.SamplerConfig(4, 40 * BLOCK)):
             both = pm.gaussian_pair_expectation(
                 3, 3, cfg, batch_f=lambda xs, ys: np.column_stack((first(xs, ys), second(xs, ys)))
             )
@@ -258,9 +252,36 @@ class TestStdErrorScaling:
     def test_single_batch_fallback_gives_positive_se(self):
         rho = pm.liouville_density(pm.mixed_random(3, 3, 3))
         est = pm.integrate_nu(
-            3, pm.SamplerConfig(0, 1000, batch_size=4096), batch_f=rho.eval_batch
+            3, pm.SamplerConfig(0, 1000), batch_f=rho.eval_batch
         )
         assert est.std_error > 0.0
+
+
+class TestPooledStdError:
+    """The SE is the per-sample SD over sqrt(n) whatever the block count; an
+    SE from the spread of three to five block means can be several times
+    too small."""
+
+    def test_matches_exact_sd_at_three_blocks(self):
+        # Under nu, |<psi|x>|^2 of a pure state is Beta(1, n - 1).
+        n, n_samples = 3, 10_000
+        exact_sd = np.sqrt((n - 1) / (n * n * (n + 1)))
+        rho = pm.liouville_density(pm.pure_random(n, 0))
+        for seed in range(5):
+            est = pm.integrate_nu(n, pm.SamplerConfig(seed, n_samples), batch_f=rho.eval_batch)
+            assert est.std_error * np.sqrt(n_samples) == pytest.approx(exact_sd, rel=0.05)
+
+    def test_pulls_of_five_block_runs_have_unit_spread(self):
+        # maxent 3x3 at 2e4 samples is five blocks; its projective MI is
+        # log2 3 - (H_3 - 1) log2 e exactly.
+        sigma, dims = pm.maximally_entangled(3), pm.BipartiteDims(3, 3)
+        exact = np.log2(3) - (1 / 2 + 1 / 3) * LOG2_E
+        pulls = []
+        for seed in range(200):
+            est = pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(seed, 20_000))
+            pulls.append((est.mean - exact) / est.std_error)
+        assert 0.85 <= np.std(pulls) <= 1.2
+        assert np.count_nonzero(np.abs(pulls) > 4) <= 1
 
 
 class TestReconstruction:
@@ -295,19 +316,21 @@ class TestReconstruction:
 
 class TestStreamStability:
     """Fixed-seed estimates pinned to values recorded before the batch loops
-    were merged into one engine. A change of draw order, seeding or batching
+    were merged into one engine. A change of draw order, seeding or blocking
     moves them by about one standard error; BLAS rounding by about 1e-16.
-    10_000 samples run two full batches of 4096 and a remainder batch."""
+    10_000 samples run two full blocks of 4096 and a remainder block. The
+    standard errors were recorded again for the pooled per-sample SE, and
+    the decomposition entry for its one-run integrand."""
 
     PINNED = {
-        "integrate_nu": (0.33371217410178633, 0.0010676927218598291),
-        "integrate_mu": (1.0062993543176744, 0.004076889315800063),
-        "integrate_product_nu": (0.08317716405769184, 8.853058660139456e-05),
-        "gaussian_expectation": (2.0130116670403857, 0.009753894388062326),
-        "gaussian_pair_expectation": (3.9686405783902106, 0.08015217136179853),
-        "classical_like_mi_projective": (0.39119910945105313, 0.007162728257864523),
-        "classical_like_mi_gaussian": (1.5824078114860103, 0.06965179473462227),
-        "entropy_decomposition_mi": (0.4021497466983881, 0.010497787479476538),
+        "integrate_nu": (0.33371217410178633, 0.0013035497530456592),
+        "integrate_mu": (1.0062993543176744, 0.005195733916292265),
+        "integrate_product_nu": (0.08317716405769184, 0.00026316519638659166),
+        "gaussian_expectation": (2.0130116670403857, 0.014993694183036688),
+        "gaussian_pair_expectation": (3.9686405783902106, 0.03945582603742109),
+        "classical_like_mi_projective": (0.39119910945105313, 0.011147722466233956),
+        "classical_like_mi_gaussian": (1.5824078114860103, 0.06097903553648692),
+        "entropy_decomposition_mi": (0.37754894324137606, 0.01262026767311906),
     }
     RECONSTRUCTED_RE = [
         [0.39025948098044255, 0.2647385857120333, -0.008038432746141827],

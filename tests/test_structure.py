@@ -108,6 +108,17 @@ class TestRestrictedDensity:
             p, q = random_point(3, rng), random_point(3, rng)
             assert d1(p, q) == pytest.approx(d2(p, q), abs=1e-14)
 
+    def test_factor_widths_are_checked(self):
+        density = pm.restricted_density(pm.random_mixture(3, 4, 3, None, 5))
+        rng = np.random.default_rng(7)
+        xs = np.array([random_point(3, rng).vector for _ in range(8)])
+        ys = np.array([random_point(4, rng).vector for _ in range(8)])
+        for bad in [(ys, xs), (xs, xs), (xs[:, :2], ys), (xs[0], ys[0])]:
+            with pytest.raises(DimensionMismatch):
+                density.eval_batch(*bad)
+        with pytest.raises(DimensionMismatch):
+            density(random_point(4, rng), random_point(3, rng))
+
 
 class TestIsProduct:
     def test_tensor_product_accepted(self):
