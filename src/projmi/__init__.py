@@ -32,6 +32,7 @@ from .infomeasures import (
     joint_density_eval,
     marginal_density,
     maxent_mi_closed_form,
+    mi_estimates,
     mi_report,
     pure_state_entropy_gaussian,
     pure_state_entropy_gaussian_constant,

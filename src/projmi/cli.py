@@ -22,23 +22,16 @@ from .errors import (
     BadParameter,
     BaseMismatch,
     DimensionMismatch,
-    EigenDecompositionFailure,
     InvalidFrame,
-    MarginalZeroAnomaly,
-    NonFiniteSample,
     ProjmiError,
-    QuadratureNotConverged,
-    ReconstructionOutOfTolerance,
     UnknownFamily,
     ValidationError,
     ZeroVector,
 )
 from .infomeasures import (
-    classical_like_mi_gaussian,
-    classical_like_mi_projective,
     differential_entropy_mu,
-    entropy_decomposition_mi,
     maxent_mi_closed_form,
+    mi_estimates,
     mi_report,
     pure_state_entropy_gaussian,
 )
@@ -55,14 +48,8 @@ from .states import (
 )
 from .structure import assemble
 
-_NUMERIC_ERRORS = (
-    NonFiniteSample,
-    EigenDecompositionFailure,
-    ReconstructionOutOfTolerance,
-    MarginalZeroAnomaly,
-    QuadratureNotConverged,
-)
-
+# Every other ProjmiError (NonFiniteSample, EigenDecompositionFailure,
+# MarginalZeroAnomaly, ...) is a numeric failure.
 _USAGE_ERRORS = (
     UnknownFamily,
     BadParameter,
@@ -143,8 +130,10 @@ def _pure_vector(sigma: DensityMatrix) -> np.ndarray:
     return vecs[:, -1]
 
 
-# Estimators by method name. Each entry looks its estimator up when called,
-# so a patched module global (as in tests) takes effect.
+# Estimators by method name. A string names the column of
+# infomeasures.mi_estimates that serves the method, so the Monte Carlo MI
+# methods of one call share one engine run (see _evaluate). Other entries look
+# their estimator up when called, so a patched module global takes effect.
 _ENTROPY_METHODS = {
     "canonical-mu": lambda sigma, cfg: differential_entropy_mu(sigma, cfg),
     "gaussian-overlap": lambda sigma, cfg: pure_state_entropy_gaussian(_pure_vector(sigma), cfg),
@@ -152,10 +141,10 @@ _ENTROPY_METHODS = {
 }
 
 _MI_METHODS = {
-    "projective": lambda sigma, dims, cfg: classical_like_mi_projective(sigma, dims, cfg),
-    "gaussian-overlap": lambda sigma, dims, cfg: classical_like_mi_gaussian(sigma, dims, cfg),
+    "projective": "projective",
+    "gaussian-overlap": "gaussian",
     "von-neumann": lambda sigma, dims, cfg: vn_mutual_information(sigma, dims),
-    "decomposition": lambda sigma, dims, cfg: entropy_decomposition_mi(sigma, dims, cfg),
+    "decomposition": "decomposition",
 }
 
 _SWEEP_METHODS = {
@@ -165,6 +154,20 @@ _SWEEP_METHODS = {
 
 # State spec of each sweep family at dimension d per factor.
 _SWEEP_FAMILIES = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
+
+
+def _evaluate(table: dict, methods: list, sigma, dims, cfg) -> list[tuple]:
+    """(value, runtime_ms) of each of ``methods`` of ``table``. Its mi_estimates
+    columns come from one engine run and report that run's runtime_ms."""
+    columns = tuple(dict.fromkeys(table[m] for m in methods if isinstance(table[m], str)))
+    start, done = time.perf_counter(), {}
+    if columns:
+        estimates, ms = mi_estimates(sigma, dims, cfg, columns), _elapsed_ms(start)
+        done = {column: (est, ms) for column, est in zip(columns, estimates)}
+    for entry in (table[m] for m in methods if not isinstance(table[m], str)):
+        start = time.perf_counter()
+        done[entry] = (entry(sigma, dims, cfg), _elapsed_ms(start))
+    return [done[table[m]] for m in methods]
 
 
 def _result(value) -> dict:
@@ -224,7 +227,7 @@ def cmd_mi(args) -> int:
         )
     cfg = SamplerConfig(args.seed, args.samples)
     if args.method != "all":
-        value = _MI_METHODS[args.method](sigma, dims, cfg)
+        ((value, _),) = _evaluate(_MI_METHODS, [args.method], sigma, dims, cfg)
         (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
         _emit(args.out, record, [record])
         return 0
@@ -283,20 +286,11 @@ def cmd_sweep(args) -> int:
     for d in _parse_d_range(args.d_range):
         dims = BipartiteDims(d, d)
         sigma = make_state(_SWEEP_FAMILIES[args.family].format(d=d), args.seed)
-        for method in methods:
-            start = time.perf_counter()
-            cfg = SamplerConfig(args.seed, args.samples)
-            value = _SWEEP_METHODS[method](sigma, dims, cfg)
-            rows.append(
-                {
-                    "family": args.family,
-                    "d": d,
-                    "method": method,
-                    **_result(value),
-                    "seed": args.seed,
-                    "runtime_ms": _elapsed_ms(start),
-                }
-            )
+        cfg = SamplerConfig(args.seed, args.samples)
+        values = _evaluate(_SWEEP_METHODS, methods, sigma, dims, cfg)
+        for method, (value, runtime_ms) in zip(methods, values):
+            rows.append({"family": args.family, "d": d, "method": method, **_result(value),
+                         "seed": args.seed, "runtime_ms": runtime_ms})
     _emit(args.out, rows, rows)
     return 0
 
@@ -368,17 +362,11 @@ def main(argv=None) -> int:
             args.out = args.default_out
         with single_blas_thread():
             return args.handler(args)
-    except _NUMERIC_ERRORS as exc:
+    except (*_USAGE_ERRORS, OSError, json.JSONDecodeError) as exc:
+        print(f"projmi: {exc}", file=sys.stderr)
+        return 2
+    except ProjmiError as exc:
         print(f"projmi: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as exc:
-        print(f"projmi: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"projmi: {exc}", file=sys.stderr)
-        return 2
-    except ProjmiError as exc:  # pragma: no cover - catch-all for new subtypes
-        print(f"projmi: {exc}", file=sys.stderr)
         return 3
 
 

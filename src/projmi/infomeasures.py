@@ -2,12 +2,13 @@
 the classical-like mutual information of a bipartite state, and entropy
 decompositions.
 
-Two estimators of the classical-like mutual information are kept
-deliberately separate. The projective form integrates the embedded joint
+Three Monte Carlo estimators of the classical-like mutual information are
+kept deliberately separate, as columns of one integrand over the same draws
+(``mi_estimates``). The projective form integrates the embedded joint
 density against the product of invariant measures of total masses
-(dim_a, dim_b). The Gaussian-overlap form evaluates the same log-ratio with
-raw, unnormalized Gaussian vectors, whose radial weight differs from the
-projective normalization. The two are reported side by side with their
+(dim_a, dim_b); the Gaussian-overlap form weights the same log-ratio by the
+raw Gaussian radii; the decomposition folds h_A + h_B - h_AB into one
+integral. Projective and Gaussian are reported side by side with their
 measured ratio rather than reconciled; see MIReport.
 """
 
@@ -25,7 +26,7 @@ from .montecarlo import (
     gaussian_expectation,
     gaussian_pair_expectation,
     integrate_mu,
-    integrate_product_nu,
+    integrate_product_nu,  # unused here; bound for perfbench's tracer
     project_rows,
 )
 from .projective import ProjectivePoint, eigenfactor, factored_density, liouville_density
@@ -172,12 +173,18 @@ def check_marginal_support(
     return mask
 
 
-def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims):
-    """Batch integrand of both classical-like MI estimators on raw Gaussian
-    rows x = r_x x^, y = r_y y^: columns [d_a d_b L, r_x^2 r_y^2 L] for
-    L = W log2(W / (W_A W_B)) on the unit rows (zero off the joint support),
-    W the joint density and W_A, W_B the marginal quadratic forms. The radii
-    cancel in the log ratio, so L is the raw-row sample divided by r_x^2 r_y^2."""
+MI_COLUMNS = ("projective", "gaussian", "decomposition")
+
+
+def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
+    """Batch integrand of the MI estimators on raw Gaussian rows x = r_x x^,
+    y = r_y y^, with one column per name in ``columns``: d_a d_b L
+    (projective), r_x^2 r_y^2 L (gaussian) and d_a e_A + d_b e_B - d_a d_b e_J
+    (decomposition), for L = W log2(W / (W_A W_B)) on the unit rows (zero off
+    the joint support) and e the -w log2 w term of the joint density W and the
+    marginal Liouville densities W_A, W_B, each evaluated once per batch."""
+    if not columns or not set(columns) <= set(MI_COLUMNS):
+        raise BadParameter(f"MI columns must come from {MI_COLUMNS}, got {columns!r}")
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
@@ -193,18 +200,29 @@ def _log_ratio_integrand(sigma: DensityMatrix, dims: BipartiteDims):
         mask = check_marginal_support(w, a, b, offset=done)
         done += len(w)
         term = np.zeros_like(w)
-        wm = w[mask]
-        term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
-        return np.column_stack((dims.joint * term, rx2 * ry2 * term))
+        if "projective" in columns or "gaussian" in columns:
+            wm = w[mask]
+            term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
+        column = {
+            "projective": lambda: dims.joint * term,
+            "gaussian": lambda: rx2 * ry2 * term,
+            "decomposition": lambda: (dims.dim_a * _entropy_terms(a)
+                                      + dims.dim_b * _entropy_terms(b)
+                                      - dims.joint * _entropy_terms(w)),
+        }
+        return np.column_stack([column[name]() for name in columns])
 
     return batch
 
 
-def _classical_like_mi(sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig):
-    """The projective and Gaussian-overlap MI estimates from one engine run."""
-    batch = _log_ratio_integrand(sigma, dims)
-    p, g = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
-    return replace(p, method="mi_projective"), replace(g, method="mi_gaussian")
+def mi_estimates(
+    sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig, columns: tuple = MI_COLUMNS
+) -> tuple[MCEstimate, ...]:
+    """The MI estimates named by ``columns`` (from MI_COLUMNS, tagged "mi_<name>"),
+    in order, from one engine run at ``cfg``; each equals its standalone estimator."""
+    batch = _mi_integrand(sigma, dims, columns)
+    estimates = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    return tuple(replace(est, method=f"mi_{name}") for est, name in zip(estimates, columns))
 
 
 def classical_like_mi_projective(
@@ -212,7 +230,7 @@ def classical_like_mi_projective(
 ) -> MCEstimate:
     """Mutual information of the embedded joint density over the product of
     invariant measures, with exact partial-trace marginals, in bits."""
-    return _classical_like_mi(sigma, dims, cfg)[0]
+    return mi_estimates(sigma, dims, cfg, ("projective",))[0]
 
 
 def classical_like_mi_gaussian(
@@ -221,7 +239,7 @@ def classical_like_mi_gaussian(
     """The same log-ratio averaged with raw Gaussian weights:
     E[ W log2(W / (W_A W_B)) ] for W = <x (x) y|sigma|x (x) y> and marginal
     quadratic forms W_A, W_B of unnormalized x, y."""
-    return _classical_like_mi(sigma, dims, cfg)[1]
+    return mi_estimates(sigma, dims, cfg, ("gaussian",))[0]
 
 
 def entropy_decomposition_mi(
@@ -235,18 +253,9 @@ def entropy_decomposition_mi(
     the -w log2 w terms of the marginal Liouville densities and of the joint
     density. It agrees with the projective MI estimator up to Monte Carlo
     error; one draw for all three terms lets their correlation lower the SE.
+    Its support check cannot fire: W_A(x), W_B(y) >= W(x, y) for unit x, y.
     """
-    joint = joint_density_eval(sigma, dims)
-    marg_a = liouville_density(partial_trace(sigma, dims, "A"))
-    marg_b = liouville_density(partial_trace(sigma, dims, "B"))
-
-    def batch(xs, ys):
-        return (dims.dim_a * _entropy_terms(marg_a.eval_batch(xs))
-                + dims.dim_b * _entropy_terms(marg_b.eval_batch(ys))
-                - dims.joint * _entropy_terms(joint.eval_batch(xs, ys)))
-
-    est = integrate_product_nu(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
-    return replace(est, method="mi_decomposition")
+    return mi_estimates(sigma, dims, cfg, ("decomposition",))[0]
 
 
 def maxent_mi_closed_form(d: int) -> float:
@@ -281,7 +290,7 @@ class MIReport:
 def mi_report(sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig) -> MIReport:
     """Both MI estimators from one engine run at ``cfg``, the spectral MI,
     and the ratio of the two estimates."""
-    projective, gaussian = _classical_like_mi(sigma, dims, cfg)
+    projective, gaussian = mi_estimates(sigma, dims, cfg, ("projective", "gaussian"))
     vn = vn_mutual_information(sigma, dims)
     resolved = abs(projective.mean) > max(5.0 * projective.std_error, 1e-12)
     ratio = gaussian.mean / projective.mean if resolved else None

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import io
+from projmi import cli, io, montecarlo
 from projmi.cli import build_parser, main
+from projmi.infomeasures import MI_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +233,47 @@ class TestSweepCommand:
         rows = json.loads(out)
         assert [r["method"] for r in rows] == ["von-neumann", "closed-form"]
 
+    def test_one_engine_run_per_d(self, capsys, monkeypatch):
+        # 10_000 samples are three blocks, each drawn from one substream; the
+        # three Monte Carlo methods share them, and von-neumann draws nothing.
+        calls = []
+        original = montecarlo.substream
+
+        def counted(seed, index):
+            calls.append(index)
+            return original(seed, index)
+
+        monkeypatch.setattr(montecarlo, "substream", counted)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "maxent", "--d-range", "3",
+            "--method", "projective,gaussian-overlap,decomposition,von-neumann",
+            "--samples", "10000", "--out", "json",
+        )
+        assert code == 0
+        assert calls == [0, 1, 2]
+        rows = json.loads(out)
+        assert [r["method"] for r in rows] == [
+            "projective", "gaussian-overlap", "decomposition", "von-neumann"]
+        assert len({r["runtime_ms"] for r in rows[:3]}) == 1
+
+    @pytest.mark.parametrize("family, spec", [
+        ("maxent", "maxent:d=3"), ("product", "product:a.n=3,b.n=3"),
+    ])
+    def test_shared_run_matches_standalone_mi(self, capsys, family, spec):
+        methods = ("projective", "gaussian-overlap", "decomposition")
+        _, out, _ = run_cli(
+            capsys, "sweep", "--family", family, "--d-range", "3", "--method",
+            ",".join(methods), "--samples", "1e4", "--seed", "9", "--out", "json",
+        )
+        for row, method in zip(json.loads(out), methods):
+            _, single, _ = run_cli(
+                capsys, "mi", "--state", spec, "--method", method,
+                "--samples", "1e4", "--seed", "9",
+            )
+            record = json.loads(single)
+            assert (row["estimate"], row["std_error"]) == (
+                record["estimate"], record["std_error"]), method
+
 
 class TestRecords:
     """Record shapes and values recorded before the record builders were
@@ -428,6 +470,23 @@ class TestReadme:
             if option.startswith("--") and option != "--help"
         }
         assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == options
+
+
+class TestMethodTables:
+    def test_every_monte_carlo_method_is_a_shared_column(self):
+        # A Monte Carlo MI method must be a column of mi_estimates, so that
+        # the methods of one call share one engine run; an entry called on
+        # its own must be exact.
+        sigma, dims = pm.maximally_entangled(3), pm.BipartiteDims(3, 3)
+        cfg = pm.SamplerConfig(0, 100)
+        for table in (cli._MI_METHODS, cli._SWEEP_METHODS):
+            for method, entry in table.items():
+                if isinstance(entry, str):
+                    assert entry in MI_COLUMNS, method
+                else:
+                    assert not isinstance(entry(sigma, dims, cfg), pm.MCEstimate), method
+        served = {entry for entry in cli._MI_METHODS.values() if isinstance(entry, str)}
+        assert served == set(MI_COLUMNS)
 
 
 class TestEntryPoints:

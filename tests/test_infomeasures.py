@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projmi as pm
 from projmi import montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
-from projmi.infomeasures import check_marginal_support
+from projmi.infomeasures import MI_COLUMNS, check_marginal_support
 from projmi.projective import LiouvilleDensity
 
 from helpers import agree_within, random_point, random_product_state
@@ -266,6 +268,70 @@ class TestEntropyDecomposition:
         monkeypatch.setattr(montecarlo, "substream", counted)
         pm.entropy_decomposition_mi(pm.mixed_random(9, 9, 7), DIMS33, pm.SamplerConfig(3, 10_000))
         assert calls == [0, 1, 2]
+
+
+class TestMiEstimates:
+    def test_columns_are_the_standalone_estimators(self):
+        sigma, dims = pm.mixed_random(12, 5, 3), pm.BipartiteDims(3, 4)
+        cfg = pm.SamplerConfig(4, 10_000)
+        projective, gaussian, decomposition = pm.mi_estimates(sigma, dims, cfg)
+        assert projective == pm.classical_like_mi_projective(sigma, dims, cfg)
+        assert gaussian == pm.classical_like_mi_gaussian(sigma, dims, cfg)
+        assert decomposition == pm.entropy_decomposition_mi(sigma, dims, cfg)
+        assert [e.method for e in (projective, gaussian, decomposition)] == [
+            "mi_projective", "mi_gaussian", "mi_decomposition"]
+
+    def test_columns_come_in_the_requested_order(self):
+        sigma, cfg = pm.mixed_random(9, 4, 2), pm.SamplerConfig(1, 5000)
+        ordered = pm.mi_estimates(sigma, DIMS33, cfg, ("decomposition", "projective"))
+        assert ordered == pm.mi_estimates(sigma, DIMS33, cfg, MI_COLUMNS)[::-2]
+
+    @pytest.mark.parametrize("columns", [(), ("projective", "entropy")])
+    def test_unknown_or_no_column_rejected(self, columns):
+        with pytest.raises(BadParameter):
+            pm.mi_estimates(pm.maximally_entangled(3), DIMS33, pm.SamplerConfig(0, 100), columns)
+
+
+def swap_factors(sigma: pm.DensityMatrix, dims: pm.BipartiteDims) -> pm.DensityMatrix:
+    """The state with its A and B factors exchanged (dims become (d_b, d_a))."""
+    t = sigma.matrix.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
+    return pm.validate_density(t.transpose(1, 0, 3, 2).reshape(dims.joint, dims.joint))
+
+
+class TestMiProperties:
+    """All three MI estimators on random 3 x 4 states, each pair of runs
+    compared within 4 joint standard errors."""
+
+    DIMS = pm.BipartiteDims(3, 4)
+    SAMPLES = 20_000
+    states = st.builds(lambda rank, seed: pm.mixed_random(12, rank, seed),
+                       st.integers(1, 12), st.integers(0, 2**32 - 1))
+
+    def run(self, sigma, dims, seed):
+        return pm.mi_estimates(sigma, dims, pm.SamplerConfig(seed, self.SAMPLES))
+
+    @settings(max_examples=8)
+    @given(sigma=states)
+    def test_swap_symmetry(self, sigma):
+        swapped = swap_factors(sigma, self.DIMS)
+        flipped = pm.BipartiteDims(self.DIMS.dim_b, self.DIMS.dim_a)
+        for a, b in zip(self.run(sigma, self.DIMS, 1), self.run(swapped, flipped, 2)):
+            assert agree_within(a, b), a.method
+
+    @settings(max_examples=8)
+    @given(sigma=states, seed=st.integers(0, 2**32 - 1))
+    def test_local_unitary_invariance(self, sigma, seed):
+        rng = np.random.default_rng(seed)
+        u = pm.tensor(pm.haar_unitary(3, rng), pm.haar_unitary(4, rng))
+        rotated = pm.validate_density(u @ sigma.matrix @ u.conj().T)
+        for a, b in zip(self.run(sigma, self.DIMS, 1), self.run(rotated, self.DIMS, 2)):
+            assert agree_within(a, b), a.method
+
+    @settings(max_examples=8)
+    @given(sigma=states)
+    def test_not_negative_beyond_4_se(self, sigma):
+        for est in self.run(sigma, self.DIMS, 3):
+            assert est.mean > -4 * est.std_error, est.method
 
 
 class TestMaxentClosedForm:
