@@ -19,6 +19,7 @@ from .errors import (
     ReconstructionOutOfTolerance,
     TraceNotOne,
     UnknownFamily,
+    UsageError,
     ValidationError,
     ZeroVector,
 )
@@ -71,6 +72,8 @@ from .states import (
     BipartiteDims,
     DensityMatrix,
     HermitianOperator,
+    SeparableMixture,
+    assemble,
     basis_pure,
     haar_unitary,
     make_state,
@@ -78,18 +81,12 @@ from .states import (
     mixed_random,
     partial_trace,
     pure_random,
+    random_mixture,
     tensor,
     validate_density,
     vn_mutual_information,
     von_neumann_entropy,
 )
-from .structure import (
-    SeparableMixture,
-    assemble,
-    is_product,
-    ppt_check,
-    random_mixture,
-    restricted_density,
-)
+from .structure import is_product, ppt_check, restricted_density
 
 __all__ = [name for name in dir() if not name.startswith("_")]

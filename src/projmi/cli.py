@@ -18,16 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BadParameter,
-    BaseMismatch,
-    DimensionMismatch,
-    InvalidFrame,
-    ProjmiError,
-    UnknownFamily,
-    ValidationError,
-    ZeroVector,
-)
+from .errors import BadParameter, DimensionMismatch, ProjmiError, UsageError
 from .infomeasures import (
     differential_entropy_mu,
     maxent_mi_closed_form,
@@ -39,25 +30,13 @@ from .io import load_mixture, load_state
 from .montecarlo import MCEstimate, SamplerConfig
 from .native import keep_freed_memory, single_blas_thread
 from .states import (
+    SQUARE_SPECS,
     BipartiteDims,
     DensityMatrix,
-    make_state,
-    parse_state_spec,
+    assemble,
+    build_state,
     vn_mutual_information,
     von_neumann_entropy,
-)
-from .structure import assemble
-
-# Every other ProjmiError (NonFiniteSample, EigenDecompositionFailure,
-# MarginalZeroAnomaly, ...) is a numeric failure.
-_USAGE_ERRORS = (
-    UnknownFamily,
-    BadParameter,
-    DimensionMismatch,
-    ValidationError,
-    ZeroVector,
-    InvalidFrame,
-    BaseMismatch,
 )
 
 
@@ -83,42 +62,29 @@ def _parse_dims(text: str) -> BipartiteDims:
 
 
 def resolve_state(spec: str, seed: int, tol: float):
-    """Build (DensityMatrix, BipartiteDims | None) from a --state spec.
+    """Build (DensityMatrix, (dim_a, dim_b) | None) from a --state spec.
 
     Beyond the make_state families this accepts ``file:path.json`` and
     ``mixture:path.json``.
     """
     text = spec.strip()
     if text.startswith("file:"):
-        return load_state(text[len("file:"):], tol=tol)
+        sigma, dims = load_state(text[len("file:"):], tol=tol)
+        return sigma, None if dims is None else (dims.dim_a, dims.dim_b)
     if text.startswith("mixture:"):
         mixture = load_mixture(text[len("mixture:"):], tol=tol)
-        return assemble(mixture), mixture.dims
-    sigma = make_state(text, seed)
-    return sigma, _spec_dims(text)
+        return assemble(mixture), tuple(factor.dim for factor in mixture.components[0])
+    return build_state(text, seed)
 
 
-def _spec_dims(spec: str):
-    family, params = parse_state_spec(spec)
-    if family == "maxent" and isinstance(params.get("d"), int):
-        return BipartiteDims(params["d"], params["d"])
-    if family == "separable_mixture":
-        if isinstance(params.get("na"), int) and isinstance(params.get("nb"), int):
-            return BipartiteDims(params["na"], params["nb"])
-    if family == "product":
-        if isinstance(params.get("a.n"), int) and isinstance(params.get("b.n"), int):
-            return BipartiteDims(params["a.n"], params["b.n"])
-    return None
-
-
-def _require_dims(args, inferred) -> BipartiteDims:
+def _require_dims(args, split) -> BipartiteDims:
     if args.dims is not None:
         return _parse_dims(args.dims)
-    if inferred is None:
+    if split is None:
         raise BadParameter(
             "cannot infer subsystem dimensions from the state spec; pass --dims NA,NB"
         )
-    return inferred
+    return BipartiteDims(*split)
 
 
 def _pure_vector(sigma: DensityMatrix) -> np.ndarray:
@@ -151,9 +117,6 @@ _SWEEP_METHODS = {
     **_MI_METHODS,
     "closed-form": lambda sigma, dims, cfg: maxent_mi_closed_form(dims.dim_a),
 }
-
-# State spec of each sweep family at dimension d per factor.
-_SWEEP_FAMILIES = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
 
 
 def _evaluate(table: dict, methods: list, sigma, dims, cfg) -> list[tuple]:
@@ -219,8 +182,8 @@ def cmd_entropy(args) -> int:
 
 def cmd_mi(args) -> int:
     start = time.perf_counter()
-    sigma, inferred = resolve_state(args.state, args.seed, args.tol)
-    dims = _require_dims(args, inferred)
+    sigma, split = resolve_state(args.state, args.seed, args.tol)
+    dims = _require_dims(args, split)
     if sigma.dim != dims.joint:
         raise DimensionMismatch(
             f"state dimension {sigma.dim} != dim_a*dim_b = {dims.joint}"
@@ -284,8 +247,8 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for d in _parse_d_range(args.d_range):
-        dims = BipartiteDims(d, d)
-        sigma = make_state(_SWEEP_FAMILIES[args.family].format(d=d), args.seed)
+        sigma, split = build_state(SQUARE_SPECS[args.family].format(d=d), args.seed)
+        dims = BipartiteDims(*split)
         cfg = SamplerConfig(args.seed, args.samples)
         values = _evaluate(_SWEEP_METHODS, methods, sigma, dims, cfg)
         for method, (value, runtime_ms) in zip(methods, values):
@@ -332,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi.set_defaults(handler=cmd_mi, default_out="json")
 
     p_sweep = sub.add_parser("sweep", help="estimate across a range of dimensions, CSV out")
-    p_sweep.add_argument("--family", required=True, choices=tuple(_SWEEP_FAMILIES))
+    p_sweep.add_argument("--family", required=True, choices=tuple(SQUARE_SPECS))
     p_sweep.add_argument("--d-range", required=True, help="inclusive range LO:HI or comma list")
     p_sweep.add_argument(
         "--method",
@@ -362,7 +325,7 @@ def main(argv=None) -> int:
             args.out = args.default_out
         with single_blas_thread():
             return args.handler(args)
-    except (*_USAGE_ERRORS, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"projmi: {exc}", file=sys.stderr)
         return 2
     except ProjmiError as exc:

@@ -2,10 +2,15 @@
 
 
 class ProjmiError(Exception):
-    """Base class for every package-specific error."""
+    """Base class for every package-specific error. The CLI exits 2 on a
+    UsageError and 3 (numeric failure) on every other one."""
 
 
-class ValidationError(ProjmiError):
+class UsageError(ProjmiError):
+    """Malformed or out-of-range input: a state, a spec, a flag or a file."""
+
+
+class ValidationError(UsageError):
     """A claimed density matrix violates one of its invariants."""
 
 
@@ -21,27 +26,27 @@ class TraceNotOne(ValidationError):
     """Matrix trace differs from 1 beyond tolerance."""
 
 
-class DimensionMismatch(ProjmiError):
+class DimensionMismatch(UsageError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
-class ZeroVector(ProjmiError):
+class ZeroVector(UsageError):
     """A (near-)zero vector cannot define a projective point."""
 
 
-class InvalidFrame(ProjmiError):
+class InvalidFrame(UsageError):
     """Points of a frame are not mutually orthogonal."""
 
 
-class BaseMismatch(ProjmiError):
+class BaseMismatch(UsageError):
     """Tangent vectors are not based at the expected projective point."""
 
 
-class UnknownFamily(ProjmiError):
+class UnknownFamily(UsageError):
     """State-family spec names a family that does not exist."""
 
 
-class BadParameter(ProjmiError):
+class BadParameter(UsageError):
     """A parameter is out of range or malformed."""
 
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .constants import VALIDATION_TOL
 from .errors import BadParameter
-from .states import BipartiteDims, DensityMatrix, validate_density
-from .structure import SeparableMixture
+from .states import BipartiteDims, DensityMatrix, SeparableMixture, validate_density
 
 
 def _matrix_from_parts(re, im, label: str) -> np.ndarray:

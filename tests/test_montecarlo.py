@@ -215,16 +215,6 @@ class TestIntegrateProductNu:
 
 
 class TestDeterminism:
-    def test_bit_identical_across_worker_counts(self, monkeypatch):
-        sigma = pm.mixed_random(3, 3, 2)
-        rho = pm.liouville_density(sigma)
-        cfg = pm.SamplerConfig(99, 50_000)
-        results = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("PROJMI_THREADS", threads)
-            results.append(pm.integrate_mu(3, cfg, batch_f=rho.eval_batch))
-        assert results[0] == results[1]
-
     def test_repeat_runs_identical(self):
         cfg = pm.SamplerConfig(5, 30_000)
         f = pm.liouville_density(pm.mixed_random(3, 3, 0))

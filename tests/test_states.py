@@ -1,9 +1,12 @@
 """Tests for the density-matrix substrate and canonical state families."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import projmi as pm
+from projmi import states
 from projmi.errors import (
     BadParameter,
     DimensionMismatch,
@@ -253,6 +256,35 @@ class TestMakeState:
         with pytest.raises(BadParameter):
             pm.make_state("maxent")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("product:a.n=3,b.n=3,c.n=3", "'c.n'"),
+        ("product:a.n=3,b.n=x", "'b.n'"),
+        ("product:a.family=maxent,a.d=3,a.d=4,b.n=3", "repeated parameter 'a.d'"),
+        ("product:a.n=3,b.n=3,b.seed=18446744073709551616", "'b.seed'"),
+    ])
+    def test_bad_key_named_as_written(self, spec, key):
+        with pytest.raises(BadParameter, match=key):
+            pm.make_state(spec)
+
+    def test_spec_seed_overrides_argument_for_product(self):
+        base = pm.make_state("product:a.n=3,b.n=3,seed=5", seed=0).matrix
+        for seed in (1, 2, 2**64 - 1):
+            again = pm.make_state("product:a.n=3,b.n=3,seed=5", seed=seed).matrix
+            assert np.array_equal(base, again)
+        assert np.array_equal(base, pm.make_state("product:a.n=3,b.n=3", seed=5).matrix)
+
+    @pytest.mark.parametrize("spec, split", [
+        ("maxent:d=4", (4, 4)),
+        ("product:a.family=maxent,a.d=3,b.n=3", (9, 3)),
+        ("product:a.n=2,b.n=3", (2, 3)),
+        ("separable_mixture:na=3,nb=4,components=2", (3, 4)),
+        ("mixed_random:n=9", None),
+    ])
+    def test_build_state_split(self, spec, split):
+        sigma, got = states.build_state(spec, seed=3)
+        assert got == split
+        assert np.array_equal(sigma.matrix, pm.make_state(spec, seed=3).matrix)
+
     def test_bad_dims_rejected(self):
         with pytest.raises(BadParameter):
             pm.BipartiteDims(2, 3)
@@ -269,3 +301,23 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             pm.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# make_state matrices at seed 0, recorded before the spec parser was rewritten;
+# the parser must still build these states bit for bit.
+PINS = Path(__file__).resolve().parent / "data" / "make_state_pins.npz"
+PINNED_SPECS = [
+    "maxent:d=3",
+    "pure_random:n=4,seed=7",
+    "mixed_random:n=3,rank=2,seed=1",
+    "basis_pure:n=3,index=0",
+    "product:a.n=3,b.n=3",
+    "separable_mixture:na=3,nb=3,components=4",
+    *(f"product:a.n={d},b.n={d}" for d in (4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("spec", PINNED_SPECS)
+def test_make_state_matches_recorded_matrix(spec):
+    with np.load(PINS) as pins:
+        assert np.array_equal(pm.make_state(spec, 0).matrix, pins[spec])
