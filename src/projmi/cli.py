@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import BadParameter, DimensionMismatch, ProjmiError, UsageError
+from .errors import BadParameter, ProjmiError, UsageError
 from .infomeasures import (
     differential_entropy_mu,
     maxent_mi_closed_form,
@@ -35,6 +35,7 @@ from .states import (
     DensityMatrix,
     assemble,
     build_state,
+    spectral,
     vn_mutual_information,
     von_neumann_entropy,
 )
@@ -69,8 +70,7 @@ def resolve_state(spec: str, seed: int, tol: float):
     """
     text = spec.strip()
     if text.startswith("file:"):
-        sigma, dims = load_state(text[len("file:"):], tol=tol)
-        return sigma, None if dims is None else (dims.dim_a, dims.dim_b)
+        return load_state(text[len("file:"):], tol=tol)
     if text.startswith("mixture:"):
         mixture = load_mixture(text[len("mixture:"):], tol=tol)
         return assemble(mixture), tuple(factor.dim for factor in mixture.components[0])
@@ -88,7 +88,7 @@ def _require_dims(args, split) -> BipartiteDims:
 
 
 def _pure_vector(sigma: DensityMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(sigma.matrix)
+    vals, vecs = spectral(np.linalg.eigh, sigma.matrix)
     if abs(vals[-1] - 1.0) > 1e-9:
         raise BadParameter(
             f"method gaussian-overlap needs a pure state; top eigenvalue is {vals[-1]!r}"
@@ -184,10 +184,6 @@ def cmd_mi(args) -> int:
     start = time.perf_counter()
     sigma, split = resolve_state(args.state, args.seed, args.tol)
     dims = _require_dims(args, split)
-    if sigma.dim != dims.joint:
-        raise DimensionMismatch(
-            f"state dimension {sigma.dim} != dim_a*dim_b = {dims.joint}"
-        )
     cfg = SamplerConfig(args.seed, args.samples)
     if args.method != "all":
         ((value, _),) = _evaluate(_MI_METHODS, [args.method], sigma, dims, cfg)
@@ -201,7 +197,7 @@ def cmd_mi(args) -> int:
         "command": "mi",
         "state_spec": args.state,
         "method": "all",
-        "dims": [dims.dim_a, dims.dim_b],
+        "dims": list(dims),
         **{
             name: {**_result(est), "seed": est.seed, "method": est.method}
             for name, est in estimates.items()

@@ -51,10 +51,7 @@ class JointDensity:
     dims: BipartiteDims
 
     def __post_init__(self):
-        if self.source.dim != self.dims.joint:
-            raise DimensionMismatch(
-                f"state dim {self.source.dim} != dim_a*dim_b = {self.dims.joint}"
-            )
+        self.dims.require_joint(self.source.dim)
         object.__setattr__(self, "_factor", eigenfactor(self.source))
 
     def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:

@@ -9,12 +9,13 @@ per component (component dims may be omitted).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .constants import VALIDATION_TOL
 from .errors import BadParameter
-from .states import BipartiteDims, DensityMatrix, SeparableMixture, validate_density
+from .states import DensityMatrix, SeparableMixture, validate_density
 
 
 def _matrix_from_parts(re, im, label: str) -> np.ndarray:
@@ -33,43 +34,34 @@ def _matrix_from_parts(re, im, label: str) -> np.ndarray:
 
 
 def state_from_dict(data: dict, *, tol: float = VALIDATION_TOL, label: str = "state"):
-    """Parse one state object; returns (DensityMatrix, BipartiteDims | None)."""
+    """Parse one state object; returns (DensityMatrix, (dim_a, dim_b) | None)."""
     if not isinstance(data, dict):
         raise BadParameter(f"{label}: expected a JSON object")
     missing = {"re", "im"} - data.keys()
     if missing:
         raise BadParameter(f"{label}: missing keys {sorted(missing)}")
     matrix = _matrix_from_parts(data["re"], data["im"], label)
-    dims = None
-    if "dims" in data and data["dims"] is not None:
-        raw = data["dims"]
-        if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(d, int) and d > 0 for d in raw
-        ):
-            raise BadParameter(f"{label}: 'dims' must be a list of positive integers")
-        if len(raw) == 2:
-            dims = BipartiteDims(raw[0], raw[1])
-            expected = dims.joint
-        elif len(raw) == 1:
-            expected = raw[0]
-        else:
-            raise BadParameter(f"{label}: 'dims' must have one or two entries")
-        if expected != matrix.shape[0]:
-            raise BadParameter(
-                f"{label}: dims {raw} imply dimension {expected}, matrix is {matrix.shape[0]}"
-            )
-    return validate_density(matrix, tol=tol), dims
+    raw = data.get("dims")
+    if raw is None:
+        return validate_density(matrix, tol=tol), None
+    if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2) or not all(
+        type(d) is int and d > 0 for d in raw
+    ):
+        raise BadParameter(f"{label}: 'dims' must be a list of one or two positive integers")
+    if math.prod(raw) != matrix.shape[0]:
+        raise BadParameter(
+            f"{label}: dims {raw} imply dimension {math.prod(raw)}, matrix is {matrix.shape[0]}"
+        )
+    return validate_density(matrix, tol=tol), tuple(raw) if len(raw) == 2 else None
 
 
-def state_to_dict(sigma: DensityMatrix, dims: BipartiteDims | None = None) -> dict:
-    out = {}
-    if dims is not None:
-        out["dims"] = [dims.dim_a, dims.dim_b]
-    else:
-        out["dims"] = [sigma.dim]
-    out["re"] = sigma.matrix.real.tolist()
-    out["im"] = sigma.matrix.imag.tolist()
-    return out
+def state_to_dict(sigma: DensityMatrix, dims=None) -> dict:
+    """The state schema of ``sigma``, with its (dim_a, dim_b) split if given."""
+    return {
+        "dims": [sigma.dim] if dims is None else [int(d) for d in dims],
+        "re": sigma.matrix.real.tolist(),
+        "im": sigma.matrix.imag.tolist(),
+    }
 
 
 def load_state(path, *, tol: float = VALIDATION_TOL):
@@ -78,7 +70,7 @@ def load_state(path, *, tol: float = VALIDATION_TOL):
     return state_from_dict(data, tol=tol, label=str(path))
 
 
-def save_state(path, sigma: DensityMatrix, dims: BipartiteDims | None = None):
+def save_state(path, sigma: DensityMatrix, dims=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state_to_dict(sigma, dims), fh)
 
@@ -93,10 +85,6 @@ def mixture_from_dict(data: dict, *, tol: float = VALIDATION_TOL) -> SeparableMi
     components = data["components"]
     if not isinstance(weights, list) or not isinstance(components, list):
         raise BadParameter("mixture: 'weights' and 'components' must be lists")
-    if len(weights) != len(components):
-        raise BadParameter(
-            f"mixture: {len(weights)} weights vs {len(components)} components"
-        )
     pairs = []
     for i, entry in enumerate(components):
         if not isinstance(entry, dict) or {"a", "b"} - entry.keys():
@@ -104,7 +92,7 @@ def mixture_from_dict(data: dict, *, tol: float = VALIDATION_TOL) -> SeparableMi
         a, _ = state_from_dict(entry["a"], tol=tol, label=f"component {i} 'a'")
         b, _ = state_from_dict(entry["b"], tol=tol, label=f"component {i} 'b'")
         pairs.append((a, b))
-    return SeparableMixture(tuple(float(w) for w in weights), tuple(pairs))
+    return SeparableMixture(tuple(weights), tuple(pairs))
 
 
 def mixture_to_dict(mixture: SeparableMixture) -> dict:

@@ -173,8 +173,8 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
 
     ``batch_f`` evaluates the density on an (m, n) array of unit rows. Uses
     sigma_hat = n(n+1) E[rho(p) p] - I over the invariant measure; the
-    accumulated matrix is symmetrized, validated at the relaxed tolerance
-    5e-2, then clamped and trace-normalized to a strictly valid state.
+    accumulated matrix is validated (symmetrized and clamped) at the relaxed
+    tolerance 5e-2, then trace-normalized to a strictly valid state.
     """
     accum = np.zeros((n, n), dtype=complex)
     # _on_rays projects the yielded rows in place, so ``points`` are unit rows.
@@ -183,14 +183,10 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
 
     moment = accum / cfg.n_samples
     raw = n * (n + 1) * moment - np.eye(n)
-    sym = (raw + raw.conj().T) / 2
     try:
-        validate_density(sym, tol=5e-2)
+        clamped = validate_density(raw, tol=5e-2).matrix
     except ValidationError as exc:
         raise ReconstructionOutOfTolerance(
             f"reconstructed matrix failed relaxed validation: {exc}"
         ) from exc
-    vals, vecs = np.linalg.eigh(sym)
-    clamped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    repaired = clamped / np.trace(clamped).real
-    return validate_density(repaired)
+    return validate_density(clamped / np.trace(clamped).real)

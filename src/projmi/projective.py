@@ -11,16 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import VALIDATION_TOL
-from .errors import (
-    BadParameter,
-    BaseMismatch,
-    DimensionMismatch,
-    EigenDecompositionFailure,
-    InvalidFrame,
-    NotHermitian,
-    ZeroVector,
+from .errors import BadParameter, BaseMismatch, DimensionMismatch, InvalidFrame, ZeroVector
+from .states import (
+    DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff, require_hermitian,
+    spectral,
 )
-from .states import DensityMatrix, HermitianOperator, haar_unitary, matrix_of
 
 _NORM_TOL = 1e-12
 _PHASE_EQ_TOL = 1e-10
@@ -101,11 +96,9 @@ def eigenfactor(sigma: DensityMatrix) -> np.ndarray:
     silently read one triangle of it.
     """
     m = sigma.matrix
-    gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > VALIDATION_TOL:
-        raise NotHermitian(f"state is not Hermitian: max |M - M^dag| = {gap:.3e}")
-    vals, vecs = np.linalg.eigh(m)
-    keep = vals > vals[-1] * sigma.dim * np.finfo(float).eps
+    require_hermitian(m, what="state")
+    vals, vecs = spectral(np.linalg.eigh, m)
+    keep = vals > rank_cutoff(vals)
     return np.ascontiguousarray(vecs[:, keep].conj() * np.sqrt(vals[keep]))
 
 
@@ -227,9 +220,7 @@ class TangentVector:
             raise DimensionMismatch(
                 f"generator dim {a.shape[0]} != base dim {self.base.dim}"
             )
-        gap = float(np.max(np.abs(a - a.conj().T)))
-        if gap > VALIDATION_TOL:
-            raise NotHermitian(f"generator is not Hermitian: gap {gap:.3e}")
+        require_hermitian(a, what="generator")
         object.__setattr__(self, "generator", a)
         a.setflags(write=False)
 
@@ -283,10 +274,7 @@ def schrodinger_flow(p: ProjectivePoint, hamiltonian, t: float) -> ProjectivePoi
     h = matrix_of(hamiltonian)
     if h.shape[0] != p.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.shape[0]} != point dim {p.dim}")
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigenDecompositionFailure(str(exc)) from exc
+    vals, vecs = spectral(np.linalg.eigh, h)
     phases = np.exp(-1j * vals * t)
     evolved = vecs @ (phases * (vecs.conj().T @ p.vector))
     return project(evolved)

@@ -9,6 +9,8 @@ which matches row-major reshaping everywhere.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +30,36 @@ from .errors import (
 
 def _as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
     # Every tolerance check compares with '>', which is False for NaN.
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
+
+
+def require_hermitian(a: np.ndarray, tol: float = VALIDATION_TOL, what: str = "matrix"):
+    """Raise NotHermitian if the square array ``a`` differs from its conjugate
+    transpose by more than ``tol`` in some entry."""
+    gap = float(np.max(np.abs(a - a.conj().T)))
+    if gap > tol:
+        raise NotHermitian(
+            f"{what} is not Hermitian: max |M - M^dag| = {gap:.3e} exceeds {tol:.1e}"
+        )
+
+
+def spectral(solve, m: np.ndarray):
+    """``solve(m)`` for a numpy eigensolver (``np.linalg.eigh`` or ``eigvalsh``),
+    with numpy's LinAlgError raised as EigenDecompositionFailure."""
+    try:
+        return solve(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionFailure(str(exc)) from exc
+
+
+def rank_cutoff(vals: np.ndarray) -> float:
+    """numpy's numerical-rank cutoff lambda_max * n * eps of an ascending spectrum."""
+    return vals[-1] * len(vals) * np.finfo(float).eps
 
 
 def _rng(seed) -> np.random.Generator:
@@ -47,7 +73,7 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace complex matrix.
 
     Build instances through :func:`validate_density`, which checks the three
-    invariants and clamps eigenvalue roundoff; direct construction assumes
+    invariants and clamps negative eigenvalues; direct construction assumes
     the caller already guarantees them.
     """
 
@@ -63,11 +89,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum with negative roundoff clamped to 0."""
-        try:
-            vals = np.linalg.eigvalsh(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-            raise EigenDecompositionFailure(str(exc)) from exc
-        return np.maximum(vals, 0.0)
+        return np.maximum(spectral(np.linalg.eigvalsh, self.matrix), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +100,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         a = _as_square_matrix(self.matrix)
-        gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-        if gap > VALIDATION_TOL:
-            raise NotHermitian(f"operator is not Hermitian: max |M - M^dag| = {gap:.3e}")
+        require_hermitian(a, what="operator")
         object.__setattr__(self, "matrix", a)
         self.matrix.setflags(write=False)
 
@@ -102,9 +122,17 @@ class BipartiteDims:
                 f"both subsystem dimensions must be >= 3, got ({self.dim_a}, {self.dim_b})"
             )
 
+    def __iter__(self):
+        return iter((self.dim_a, self.dim_b))
+
     @property
     def joint(self) -> int:
         return self.dim_a * self.dim_b
+
+    def require_joint(self, n: int):
+        """Raise DimensionMismatch unless a state of dimension ``n`` fits this split."""
+        if n != self.joint:
+            raise DimensionMismatch(f"state dimension {n} != dim_a*dim_b = {self.joint}")
 
 
 def matrix_of(operator) -> np.ndarray:
@@ -117,26 +145,23 @@ def matrix_of(operator) -> np.ndarray:
 def validate_density(m, *, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Check Hermiticity, positivity and unit trace of ``m`` at tolerance ``tol``.
 
-    Eigenvalues in [-tol, 0) are clamped to 0 (the matrix is rebuilt from its
-    clamped spectrum) so downstream entropies never see negative weights.
+    Eigenvalues in [-tol, -rank_cutoff) are clamped to 0 by rebuilding the
+    matrix from its clamped spectrum. The result is a fixed point: validating
+    it again returns it bit for bit.
     """
     a = _as_square_matrix(m)
-    gap = float(np.max(np.abs(a - a.conj().T)))
-    if gap > tol:
-        raise NotHermitian(f"max |M - M^dag| = {gap:.3e} exceeds {tol:.1e}")
+    require_hermitian(a, tol)
     h = (a + a.conj().T) / 2
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigenDecompositionFailure(str(exc)) from exc
+    vals, vecs = spectral(np.linalg.eigh, h)
     min_eig = float(vals[0])
     if min_eig < -tol:
         raise NotPositive(f"smallest eigenvalue {min_eig:.3e} below -{tol:.1e}")
     trace = complex(np.trace(h))
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"|tr(M) - 1| = {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    if min_eig < 0.0:
+    if min_eig < -rank_cutoff(vals):
         h = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+        h = (h + h.conj().T) / 2
     return DensityMatrix(h)
 
 
@@ -148,10 +173,7 @@ def tensor(a, b) -> np.ndarray:
 def partial_trace(sigma, dims: BipartiteDims, keep: str) -> DensityMatrix:
     """Reduce a bipartite state to subsystem ``keep`` ("A" or "B")."""
     m = matrix_of(sigma)
-    if m.shape[0] != dims.joint:
-        raise DimensionMismatch(
-            f"state dimension {m.shape[0]} != dim_a*dim_b = {dims.joint}"
-        )
+    dims.require_joint(m.shape[0])
     t = m.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
     tag = keep.upper() if isinstance(keep, str) else keep
     if tag == "A":
@@ -245,7 +267,11 @@ class SeparableMixture:
     components: tuple
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(self.weights)
+        if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w)
+                   for w in weights):
+            raise BadParameter(f"mixture weights must be finite numbers, got {list(weights)!r}")
+        weights = tuple(float(w) for w in weights)
         components = tuple((a, b) for a, b in self.components)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenDecompositionFailure
+from .errors import DimensionMismatch
 from .projective import ProjectivePoint, quadratic_form
-from .states import BipartiteDims, SeparableMixture, matrix_of, partial_trace, tensor
+from .states import BipartiteDims, SeparableMixture, matrix_of, partial_trace, spectral, tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +56,9 @@ def ppt_check(sigma, dims: BipartiteDims) -> bool:
     result is a label, not a separability certificate.
     """
     m = matrix_of(sigma)
-    if m.shape[0] != dims.joint:
-        raise DimensionMismatch(
-            f"state dimension {m.shape[0]} != dim_a*dim_b = {dims.joint}"
-        )
+    dims.require_joint(m.shape[0])
     t = m.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
     pt = np.transpose(t, (0, 3, 2, 1)).reshape(dims.joint, dims.joint)
-    try:
-        smallest = float(np.linalg.eigvalsh(pt)[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigenDecompositionFailure(str(exc)) from exc
+    smallest = float(spectral(np.linalg.eigvalsh, pt)[0])
     return smallest >= -1e-10
 

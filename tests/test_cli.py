@@ -496,6 +496,55 @@ class TestStateSpecs:
         assert json.loads(out)["dims"] == [9, 3]
 
 
+class TestFileInputs:
+    # A file's split is checked only by the command that needs one, and a
+    # malformed mixture weight is a usage error. (argv, exit code, stderr text)
+    CASES = {
+        "entropy-2x3-file": (["entropy", "--state", "file:{state_2x3}"], 0, ""),
+        "mi-2x3-file": (["mi", "--state", "file:{state_2x3}"], 2, "(2, 3)"),
+        "text-weight": (["entropy", "--state", "mixture:{text_weight}"], 2, "finite numbers"),
+        "nan-weight": (["entropy", "--state", "mixture:{nan_weight}"], 2, "finite numbers"),
+        "bool-weight": (["entropy", "--state", "mixture:{bool_weight}"], 2, "finite numbers"),
+        "weight-count": (["entropy", "--state", "mixture:{one_weight}"], 2, "got 1 and 2"),
+        "mi-dims-mismatch": (
+            ["mi", "--state", "mixed_random:n=9", "--dims", "3,4"], 2, "dim_a*dim_b = 12"
+        ),
+    }
+
+    @staticmethod
+    def _write_files(tmp_path) -> dict:
+        weights = {"text_weight": ["x", 0.5], "nan_weight": [float("nan"), 1.0],
+                   "bool_weight": [True, 0.0], "one_weight": [1.0]}
+        paths = {name: tmp_path / f"{name}.json" for name in ("state_2x3", *weights)}
+        io.save_state(paths["state_2x3"], pm.validate_density(pm.mixed_random(6).matrix), (2, 3))
+        for name, values in weights.items():
+            data = io.mixture_to_dict(pm.random_mixture(3, 3, 2, seed=1))
+            paths[name].write_text(json.dumps({**data, "weights": values}))
+        return paths
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_file_inputs(self, capsys, tmp_path, case):
+        argv, code, text = self.CASES[case]
+        paths = self._write_files(tmp_path)
+        argv = [arg.format(**paths) for arg in argv]
+        got, out, err = run_cli(capsys, *argv, "--method", "von-neumann")
+        assert got == code, err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("projmi: ") and err.count("\n") == 1
+            assert text in err
+
+    def test_solver_failure_exits_3(self, capsys, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run_cli(
+            capsys, "mi", "--state", "maxent:d=3", "--method", "projective", "--samples", "100"
+        )
+        assert (code, out, err) == (3, "", "projmi: numeric failure: did not converge\n")
+
+
 class TestExitClass:
     @pytest.mark.parametrize(
         "error",

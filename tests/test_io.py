@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import projmi as pm
 from projmi import io
@@ -24,7 +26,7 @@ class TestStateSchema:
         path = tmp_path / "maxent.json"
         io.save_state(path, sigma, pm.BipartiteDims(3, 3))
         loaded, dims = io.load_state(path)
-        assert dims == pm.BipartiteDims(3, 3)
+        assert dims == (3, 3)
         assert np.allclose(loaded.matrix, sigma.matrix, atol=1e-12)
 
     def test_rejects_non_square(self):
@@ -41,6 +43,13 @@ class TestStateSchema:
         eye = np.eye(4) / 4
         data = {"dims": [3, 3], "re": eye.tolist(), "im": (0 * eye).tolist()}
         with pytest.raises(BadParameter, match="dims"):
+            io.state_from_dict(data)
+
+    @pytest.mark.parametrize("dims", [[True, 4], [2.0, 2], [2, 2, 1], [], "4"])
+    def test_rejects_malformed_dims(self, dims):
+        eye = np.eye(4) / 4
+        data = {"dims": dims, "re": eye.tolist(), "im": (0 * eye).tolist()}
+        with pytest.raises(BadParameter, match="'dims' must be a list of one or two positive"):
             io.state_from_dict(data)
 
     def test_rejects_missing_keys(self):
@@ -84,3 +93,35 @@ class TestMixtureSchema:
     def test_rejects_malformed_component(self):
         with pytest.raises(BadParameter, match="component 0"):
             io.mixture_from_dict({"weights": [1.0], "components": [{"a": {}}]})
+
+
+class TestExactRoundTrips:
+    """Saving and loading return the same matrix, split and weights bit for bit.
+
+    The states are validated first, as every state the package builds from a
+    file or spec is. A raw ``mixed_random`` matrix GG^dag / tr(GG^dag) is not
+    exactly Hermitian in floating point, and loading symmetrises it, so raw
+    matrices do not round-trip: 340 of 660 (n = 3..8, every rank, 20 seeds)
+    come back changed in the last bits.
+    """
+
+    @given(data=st.data(), n=st.integers(3, 8), seed=st.integers(0, 2**32), split=st.booleans())
+    def test_state(self, tmp_path_factory, data, n, seed, split):
+        rank = data.draw(st.integers(1, n), label="rank")
+        sigma = pm.validate_density(pm.mixed_random(n, rank, seed).matrix)
+        dims = None
+        if split:
+            dim_a = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+            dims = (dim_a, n // dim_a)
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        io.save_state(path, sigma, dims)
+        loaded, loaded_dims = io.load_state(path)
+        assert np.array_equal(loaded.matrix, sigma.matrix)
+        assert loaded_dims == dims
+
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32))
+    def test_mixture_weights(self, tmp_path_factory, k, seed):
+        mixture = pm.random_mixture(3, 4, k, seed=seed)
+        path = tmp_path_factory.mktemp("mixture") / "mixture.json"
+        io.save_mixture(path, mixture)
+        assert io.load_mixture(path).weights == mixture.weights

@@ -1,0 +1,102 @@
+"""Each matrix rule has one owner in ``states``: the Hermiticity test, the
+eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff.
+These tests pin the shared behaviour at every site that applies a rule, and
+guard against copies of the rules reappearing in other modules."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import projmi as pm
+from projmi import states
+from projmi.errors import DimensionMismatch, EigenDecompositionFailure, NotHermitian
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "projmi"
+
+
+def _skewed(n: int = 3) -> np.ndarray:
+    """A unit-trace matrix whose Hermiticity gap is exactly 1e-3."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = 1e-3
+    return m
+
+
+def _mismatched():
+    """A state of dimension 9 and a 3 x 4 split."""
+    return pm.mixed_random(9), pm.BipartiteDims(3, 4)
+
+
+# Each site of a rule, the error it raises and the text its message holds.
+SITES = {
+    "HermitianOperator": (NotHermitian, lambda: pm.HermitianOperator(_skewed())),
+    "validate_density": (NotHermitian, lambda: pm.validate_density(_skewed())),
+    # Built directly, a DensityMatrix skips validation; its eigenfactor checks.
+    "eigenfactor": (NotHermitian, lambda: pm.liouville_density(pm.DensityMatrix(_skewed()))),
+    "TangentVector": (NotHermitian, lambda: pm.TangentVector(pm.project(np.ones(3)), _skewed())),
+    "partial_trace": (DimensionMismatch, lambda: pm.partial_trace(*_mismatched(), "A")),
+    "ppt_check": (DimensionMismatch, lambda: pm.ppt_check(*_mismatched())),
+    "JointDensity": (DimensionMismatch, lambda: pm.joint_density_eval(*_mismatched())),
+}
+MESSAGES = {
+    NotHermitian: "max |M - M^dag| = 1.000e-03 exceeds 1.0e-10",
+    DimensionMismatch: "state dimension 9 != dim_a*dim_b = 12",
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_rule_sites_share_one_error(site):
+    error, call = SITES[site]
+    with pytest.raises(error) as info:
+        call()
+    assert MESSAGES[error] in str(info.value)
+
+
+def test_require_hermitian_names_its_subject():
+    with pytest.raises(NotHermitian, match="^generator is not Hermitian"):
+        states.require_hermitian(_skewed(), what="generator")
+    states.require_hermitian(_skewed(), tol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pm.validate_density(np.eye(3) / 3),
+        lambda: pm.von_neumann_entropy(pm.maximally_entangled(3)),
+        lambda: pm.liouville_density(pm.maximally_entangled(3)),
+        lambda: pm.ppt_check(pm.maximally_entangled(3), pm.BipartiteDims(3, 3)),
+        lambda: pm.schrodinger_flow(pm.project(np.ones(3)), np.eye(3), 1.0),
+    ],
+    ids=["validate_density", "eigenvalues", "eigenfactor", "ppt_check", "schrodinger_flow"],
+)
+def test_solver_failure_is_a_numeric_error(monkeypatch, call):
+    def fail(m):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigenDecompositionFailure, match="did not converge"):
+        call()
+
+
+# Spellings of each rule that only states.py may contain, each with a line
+# of a former copy that the pattern must catch.
+RULES = {
+    "eigensolver call": (r"np\.linalg\.eig(?:vals)?h\(", "vals, vecs = np.linalg.eigh(m)"),
+    "LinAlgError handler": (r"LinAlgError", "except np.linalg.LinAlgError as exc:"),
+    "Hermiticity gap": (r"\b(\w+) - \1\.conj\(\)\.T", "np.max(np.abs(a - a.conj().T))"),
+    "joint-dimension message": (re.escape("dim_a*dim_b"), 'f"{n} != dim_a*dim_b = {joint}"'),
+    "numerical-rank cutoff": (r"np\.finfo\(float\)\.eps", "vals[-1] * n * np.finfo(float).eps"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rules_have_one_owner(rule):
+    pattern, former_copy = RULES[rule]
+    assert re.search(pattern, former_copy)
+    copies = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if path.name != "states.py" and re.search(pattern, path.read_text())
+    ]
+    assert copies == []

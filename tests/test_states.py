@@ -39,6 +39,19 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian, match="1.0"):
             pm.validate_density(m)
 
+    def test_clamped_state_is_a_fixed_point(self):
+        # An eigenvalue of -1e-11 is clamped; the rounding-level ones of the
+        # rebuilt matrix are not, so validating it again changes no bit.
+        u = pm.haar_unitary(3, 5)
+        once = pm.validate_density((u * [0.6 + 1e-11, 0.4, -1e-11]) @ u.conj().T)
+        assert np.linalg.eigvalsh(once.matrix)[0] > -1e-15
+        assert np.array_equal(pm.validate_density(once.matrix).matrix, once.matrix)
+
+    def test_empty_matrix_rejected(self):
+        for build in (pm.validate_density, pm.HermitianOperator):
+            with pytest.raises(DimensionMismatch, match="non-empty square"):
+                build(np.zeros((0, 0)))
+
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             pm.validate_density(np.eye(3) / 2)
