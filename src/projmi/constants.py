@@ -13,3 +13,8 @@ VALIDATION_TOL = 1e-10
 
 # Densities at or below this value contribute zero to entropy-style integrands.
 DENSITY_SUPPORT_EPS = 1e-15
+
+# A Monte Carlo control whose sample SD is at most this fraction of its |mean|
+# is constant up to rounding (a unit-row quadratic form of I/d varies by about
+# 1e-16 relative) and is not regressed on.
+CONSTANT_CONTROL_RSD = 1e-12

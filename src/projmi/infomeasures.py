@@ -10,6 +10,12 @@ density against the product of invariant measures of total masses
 raw Gaussian radii; the decomposition folds h_A + h_B - h_AB into one
 integral. Projective and Gaussian are reported side by side with their
 measured ratio rather than reconciled; see MIReport.
+
+Each estimate is the regression (control-variate) estimate of its column on
+six controls of the same draw, the joint density W, W^2 and the marginal
+densities a, a^2, b, b^2, whose means over the invariant measures are exact
+(``_control_means``); the paper's integrands are unchanged, only the way
+their sample mean is formed (``montecarlo._estimate``).
 """
 
 from __future__ import annotations
@@ -121,8 +127,10 @@ def marginal_density(
 
 def _entropy_terms(w: np.ndarray) -> np.ndarray:
     """-w log2 w elementwise, zero at or below the support cutoff."""
-    out = np.zeros_like(w)
     mask = w > DENSITY_SUPPORT_EPS
+    if mask.all():  # the usual block, evaluated without gathers
+        return -w * np.log2(w)
+    out = np.zeros_like(w)
     wm = w[mask]
     out[mask] = -wm * np.log2(wm)
     return out
@@ -173,18 +181,64 @@ def check_marginal_support(
 MI_COLUMNS = ("projective", "gaussian", "decomposition")
 
 
+def _trace_moments(factor: np.ndarray) -> tuple[float, float]:
+    """tr s and tr s^2 of the matrix s = conj(F) F^T that factored_density
+    evaluates with the factor F."""
+    gram = factor.conj().T @ factor
+    return float(np.trace(gram).real), float(np.vdot(gram, gram).real)
+
+
+def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
+    """Exact means of the controls W, W^2, a, a^2, b, b^2 over the product
+    of invariant measures, from the matrices the kernels evaluate.
+
+    For a unit ray x of C^d, E[xx^dag (x) xx^dag] = (I + SWAP) / (d(d+1)), so
+    a quadratic form q = <x|s|x> has E[q] = tr s / d and E[q^2] = ((tr s)^2 +
+    tr s^2) / (d(d+1)), and the joint density has E[W] = tr sigma / (d_a d_b)
+    and E[W^2] = ((tr sigma)^2 + tr sigma^2 + tr rho_A^2 + tr rho_B^2) /
+    (d_a(d_a+1) d_b(d_b+1)), with rho_A, rho_B the partial traces of sigma.
+    """
+    d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
+    tr, tr2 = _trace_moments(joint._factor)
+    f = joint._factor.reshape(d_a, d_b, -1)
+    rho_a = np.einsum("ijq,kjq->ik", f.conj(), f)
+    rho_b = np.einsum("ijq,ilq->jl", f.conj(), f)
+    tr2_a, tr2_b = (float(np.vdot(rho, rho).real) for rho in (rho_a, rho_b))
+    means = [tr / (d_a * d_b),
+             (tr * tr + tr2 + tr2_a + tr2_b) / (d_a * (d_a + 1) * d_b * (d_b + 1))]
+    for marginal, d in ((marg_a, d_a), (marg_b, d_b)):
+        tr, tr2 = _trace_moments(marginal._factor)
+        means += [tr / d, (tr * tr + tr2) / (d * (d + 1))]
+    return tuple(means)
+
+
+def _log_ratio(w: np.ndarray, a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """w log2(w / (a b)) on the support ``mask``, zero off it."""
+    if mask.all():  # the usual block, evaluated without gathers
+        return w * (np.log2(w) - np.log2(a) - np.log2(b))
+    term = np.zeros_like(w)
+    wm = w[mask]
+    term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
+    return term
+
+
 def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     """Batch integrand of the MI estimators on raw Gaussian rows x = r_x x^,
-    y = r_y y^, with one column per name in ``columns``: d_a d_b L
-    (projective), r_x^2 r_y^2 L (gaussian) and d_a e_A + d_b e_B - d_a d_b e_J
+    y = r_y y^, and the exact means of its controls.
+
+    It has one column per name in ``columns``: d_a d_b L (projective),
+    r_x^2 r_y^2 L (gaussian) and d_a e_A + d_b e_B - d_a d_b e_J
     (decomposition), for L = W log2(W / (W_A W_B)) on the unit rows (zero off
     the joint support) and e the -w log2 w term of the joint density W and the
-    marginal Liouville densities W_A, W_B, each evaluated once per batch."""
+    marginal Liouville densities W_A, W_B, each evaluated once per batch. Six
+    control columns W, W^2, W_A, W_A^2, W_B, W_B^2 follow, whatever
+    ``columns`` holds (see ``_control_means``)."""
     if not columns or not set(columns) <= set(MI_COLUMNS):
         raise BadParameter(f"MI columns must come from {MI_COLUMNS}, got {columns!r}")
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
+    log_ratio = not set(columns).isdisjoint(("projective", "gaussian"))
     done = 0  # rows of earlier batches, so an anomaly names its absolute index
 
     def batch(xs, ys):
@@ -196,10 +250,8 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
         b = marg_b.eval_batch(ys)
         mask = check_marginal_support(w, a, b, offset=done)
         done += len(w)
-        term = np.zeros_like(w)
-        if "projective" in columns or "gaussian" in columns:
-            wm = w[mask]
-            term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
+        if log_ratio:
+            term = _log_ratio(w, a, b, mask)
         column = {
             "projective": lambda: dims.joint * term,
             "gaussian": lambda: rx2 * ry2 * term,
@@ -207,18 +259,30 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
                                       + dims.dim_b * _entropy_terms(b)
                                       - dims.joint * _entropy_terms(w)),
         }
-        return np.column_stack([column[name]() for name in columns])
+        # Filled by rows and returned transposed, so the engine's (columns,
+        # rows) view of it is contiguous and needs no copy.
+        out = np.empty((len(columns) + 6, len(w)))
+        for row, name in zip(out, columns):
+            row[...] = column[name]()
+        controls = out[len(columns):]
+        controls[0], controls[2], controls[4] = w, a, b
+        np.square(controls[::2], out=controls[1::2])
+        return out.T
 
-    return batch
+    return batch, _control_means(joint, marg_a, marg_b)
 
 
 def mi_estimates(
     sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig, columns: tuple = MI_COLUMNS
 ) -> tuple[MCEstimate, ...]:
     """The MI estimates named by ``columns`` (from MI_COLUMNS, tagged "mi_<name>"),
-    in order, from one engine run at ``cfg``; each equals its standalone estimator."""
-    batch = _mi_integrand(sigma, dims, columns)
-    estimates = gaussian_pair_expectation(dims.dim_a, dims.dim_b, cfg, batch_f=batch)
+    in order, from one engine run at ``cfg``; each equals its standalone
+    estimator. Each is the regression estimate on the integrand's six
+    controls (see ``_mi_integrand`` and ``montecarlo._estimate``)."""
+    batch, means = _mi_integrand(sigma, dims, columns)
+    estimates = gaussian_pair_expectation(
+        dims.dim_a, dims.dim_b, cfg, batch_f=batch, control_means=means
+    )
     return tuple(replace(est, method=f"mi_{name}") for est, name in zip(estimates, columns))
 
 

@@ -129,6 +129,17 @@ class TestMiCommand:
         assert report["von_neumann"] == pytest.approx(2 * np.log2(3), abs=1e-9)
         assert np.isfinite(report["ratio_gaussian_over_projective"])
 
+    @pytest.mark.parametrize("samples", ["2", "7", "8"])
+    def test_method_all_at_few_samples(self, capsys, samples):
+        # 7 samples are too few for six controls, and runs this short use none.
+        code, out, _ = run_cli(
+            capsys, "mi", "--state", "maxent:d=3", "--method", "all", "--samples", samples,
+        )
+        assert code == 0
+        report = json.loads(out)
+        for key in ("projective", "gaussian"):
+            assert np.isfinite(report[key]["std_error"]), key
+
     def test_dims_required_when_not_inferable(self, capsys):
         code, _, err = run_cli(
             capsys, "mi", "--state", "mixed_random:n=9,seed=1", "--method", "von-neumann"
@@ -280,7 +291,9 @@ class TestRecords:
     merged into one emitter. The `mi --method all` Gaussian entry was
     recorded again when both MI estimators moved onto one shared draw, and
     every standard error and both `mi --method all` entries when the SE
-    became the pooled per-sample SE and that draw moved to `--seed`."""
+    became the pooled per-sample SE and that draw moved to `--seed`. Both
+    `mi --method all` entries, their ratio and the sweep's projective row
+    were recorded again for the control-variate estimate."""
 
     RECORD = (
         "command", "state_spec", "method", "estimate", "std_error",
@@ -306,15 +319,15 @@ class TestRecords:
         assert_record(payload, {
             "command": "mi", "state_spec": "maxent:d=3", "method": "all", "dims": [3, 3],
             "projective": {
-                "estimate": 0.3717523578266655, "std_error": 0.010870463925039825,
+                "estimate": 0.3820991170728823, "std_error": 0.0010460616014477848,
                 "n_samples": 10000, "seed": 42, "method": "mi_projective",
             },
             "gaussian": {
-                "estimate": 1.438293032042708, "std_error": 0.05775608153732632,
+                "estimate": 1.4766679185228349, "std_error": 0.039109255515852995,
                 "n_samples": 10000, "seed": 42, "method": "mi_gaussian",
             },
             "von_neumann": 3.16992500144231,
-            "ratio_gaussian_over_projective": 3.8689546999815705,
+            "ratio_gaussian_over_projective": 3.864620075113056,
             "n_samples": 10000, "seed": 42, "runtime_ms": 0, "version": pm.__version__,
         })
         _, out, _ = run_cli(capsys, *argv, "--out", "csv")
@@ -336,7 +349,7 @@ class TestRecords:
         _, out, _ = run_cli(capsys, *argv, "--out", "json")
         first, second = json.loads(out)
         assert_record(first, dict(zip(self.SWEEP_ROW, (
-            "maxent", 3, "projective", 0.4001238443236322, 0.011243785899820226, 10000, 2, 0,
+            "maxent", 3, "projective", 0.3816011762879666, 0.0010578815235348117, 10000, 2, 0,
         ))))
         assert_record(second, dict(zip(self.SWEEP_ROW, (
             "maxent", 3, "closed-form", 4.8048602279453485, 0.0, 0, 2, 0,

@@ -9,7 +9,7 @@ import projmi as pm
 from projmi import montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
-from projmi.infomeasures import MI_COLUMNS, check_marginal_support
+from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
 from projmi.projective import LiouvilleDensity
 
 from helpers import agree_within, random_point, random_product_state
@@ -127,6 +127,17 @@ class TestDifferentialEntropyMu:
         rotated = pm.validate_density(u @ sigma.matrix @ u.conj().T)
         e1 = pm.differential_entropy_mu(sigma, pm.SamplerConfig(1, 100_000))
         e2 = pm.differential_entropy_mu(rotated, pm.SamplerConfig(2, 100_000))
+        assert agree_within(e1, e2)
+
+    @settings(max_examples=20)
+    @given(n=st.integers(3, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_invariance_property(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        sigma = pm.mixed_random(n, min(rank, n), rng)
+        u = pm.haar_unitary(n, rng)
+        rotated = pm.validate_density(u @ sigma.matrix @ u.conj().T)
+        e1 = pm.differential_entropy_mu(sigma, pm.SamplerConfig(1, 20_000))
+        e2 = pm.differential_entropy_mu(rotated, pm.SamplerConfig(2, 20_000))
         assert agree_within(e1, e2)
 
 
@@ -290,6 +301,140 @@ class TestMiEstimates:
     def test_unknown_or_no_column_rejected(self, columns):
         with pytest.raises(BadParameter):
             pm.mi_estimates(pm.maximally_entangled(3), DIMS33, pm.SamplerConfig(0, 100), columns)
+
+
+def mixed6_state() -> pm.DensityMatrix:
+    """The full-rank 36 x 36 state of the benchmark's mi.mixed6 workload."""
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    sigma = g @ g.conj().T
+    return pm.validate_density(sigma / np.trace(sigma).real)
+
+
+def product_state() -> pm.DensityMatrix:
+    return pm.validate_density(pm.tensor(pm.mixed_random(3, 3, 1), pm.mixed_random(3, 3, 2)))
+
+
+CONTROL_STATES = {
+    "maxent3x3": (pm.maximally_entangled(3), DIMS33),
+    "pure3x4": (pm.pure_random(12), pm.BipartiteDims(3, 4)),
+    "mixed9x9": (pm.mixed_random(9, 9, 5), DIMS33),
+    "mixed6x6": (mixed6_state(), pm.BipartiteDims(6, 6)),
+    "separable3x3": (pm.assemble(pm.random_mixture(3, 3, 4, seed=3)), DIMS33),
+    "rank3_4x3": (pm.mixed_random(12, 3, 2), pm.BipartiteDims(4, 3)),
+}
+
+
+class TestControlMeans:
+    """The closed-form means the MI integrand's controls are regressed on."""
+
+    @pytest.mark.parametrize("name", CONTROL_STATES)
+    def test_engine_sample_means_match_closed_forms(self, name):
+        sigma, dims = CONTROL_STATES[name]
+        batch, means = _mi_integrand(sigma, dims, ("projective",))
+        # Without control means the engine reports the plain sample mean of
+        # every column, controls included.
+        _, *controls = pm.gaussian_pair_expectation(
+            dims.dim_a, dims.dim_b, pm.SamplerConfig(13, 100_000), batch_f=batch
+        )
+        # A constant control (a and b on maxent) matches to rounding only.
+        rounding = 64 * np.finfo(float).eps
+        for est, exact, label in zip(controls, means, ("W", "W^2", "a", "a^2", "b", "b^2")):
+            assert abs(est.mean - exact) <= 4 * est.std_error + rounding * exact, label
+
+
+class TestControlFit:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_maxent_regresses_on_the_joint_controls_only(self, monkeypatch, d):
+        # a = b = 1/d on every unit row: only W and W^2 vary.
+        fits = []
+        original = montecarlo._control_fit
+
+        def recorded(*args):
+            fits.append(original(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(montecarlo, "_control_fit", recorded)
+        pm.mi_estimates(pm.maximally_entangled(d), pm.BipartiteDims(d, d),
+                        pm.SamplerConfig(0, 5000))
+        (fit,) = fits
+        assert fit.kept.tolist() == [0, 1]
+        assert fit.rank == 2
+
+    @pytest.mark.parametrize("n, fitted", [(montecarlo.MIN_CONTROL_SAMPLES - 1, False),
+                                           (montecarlo.MIN_CONTROL_SAMPLES, True)])
+    def test_short_runs_report_the_sample_mean(self, n, fitted):
+        sigma, dims = CONTROL_STATES["mixed9x9"]
+        batch, _ = _mi_integrand(sigma, dims, MI_COLUMNS)
+        plain = pm.gaussian_pair_expectation(3, 3, pm.SamplerConfig(2, n), batch_f=batch)[:3]
+        for p, est in zip(plain, pm.mi_estimates(sigma, dims, pm.SamplerConfig(2, n))):
+            assert ((est.mean, est.std_error) != (p.mean, p.std_error)) == fitted
+
+    def test_product_state_projective_is_zero(self):
+        est = pm.classical_like_mi_projective(product_state(), DIMS33, pm.SamplerConfig(5, 10_000))
+        assert abs(est.mean) <= 4 * est.std_error + ZERO_FLOOR
+
+    def test_control_variates_cut_the_standard_error(self):
+        # The same draws without and with the controls' exact means.
+        sigma, dims = CONTROL_STATES["mixed9x9"]
+        batch, means = _mi_integrand(sigma, dims, MI_COLUMNS)
+        cfg = pm.SamplerConfig(3, 20_000)
+        plain = pm.gaussian_pair_expectation(3, 3, cfg, batch_f=batch)[:3]
+        fitted = pm.gaussian_pair_expectation(3, 3, cfg, batch_f=batch, control_means=means)
+        for p, f, est in zip(plain, fitted, pm.mi_estimates(sigma, dims, cfg)):
+            assert (f.mean, f.std_error) == (est.mean, est.std_error)
+            assert f.std_error < p.std_error
+            assert agree_within(p, f)
+
+
+def maxent_mi(d: int) -> float:
+    """Projective MI of the d x d maximally entangled state: log2 d - (H_d - 1) log2 e."""
+    return float(np.log2(d)) - (sum(1 / k for k in range(1, d + 1)) - 1) * LOG2_E
+
+
+class TestControlVariateCoverage:
+    """Pulls of the regression estimates over seeds 0-399 at 1e4 samples,
+    fixed before the first run: each pull sd lies in [0.9, 1.1] and each mean
+    pull within 0.15 of 0."""
+
+    SEEDS = range(400)
+    SAMPLES = 10_000
+
+    @staticmethod
+    def assert_unit_spread(pulls, label):
+        sd, mean = np.std(pulls), np.mean(pulls)
+        assert 0.9 <= sd <= 1.1 and abs(mean) <= 0.15, f"{label}: sd {sd:.3f}, mean {mean:+.3f}"
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_maxent_against_exact_targets(self, d):
+        sigma, dims = pm.maximally_entangled(d), pm.BipartiteDims(d, d)
+        runs = [pm.mi_estimates(sigma, dims, pm.SamplerConfig(seed, self.SAMPLES))
+                for seed in self.SEEDS]
+        # E[r_x^2 r_y^2] = 4 d_a d_b: the Gaussian column's target is 4 MI.
+        targets = (maxent_mi(d), 4 * maxent_mi(d), maxent_mi(d))
+        for j, (name, target) in enumerate(zip(MI_COLUMNS, targets)):
+            pulls = [(run[j].mean - target) / run[j].std_error for run in runs]
+            self.assert_unit_spread(pulls, name)
+
+    @pytest.mark.parametrize("name", ["mixed9x9", "pure3x4", "rank3_4x3", "separable3x3"])
+    def test_projective_against_decomposition(self, name):
+        sigma, dims = CONTROL_STATES[name]
+        pulls = []
+        for seed in self.SEEDS:
+            (p,) = pm.mi_estimates(sigma, dims, pm.SamplerConfig(2 * seed, self.SAMPLES),
+                                   ("projective",))
+            (q,) = pm.mi_estimates(sigma, dims, pm.SamplerConfig(2 * seed + 1, self.SAMPLES),
+                                   ("decomposition",))
+            pulls.append((p.mean - q.mean) / np.hypot(p.std_error, q.std_error))
+        self.assert_unit_spread(pulls, name)
+
+    def test_product_decomposition_against_zero(self):
+        sigma, pulls = product_state(), []
+        for seed in self.SEEDS:
+            (est,) = pm.mi_estimates(sigma, DIMS33, pm.SamplerConfig(seed, self.SAMPLES),
+                                     ("decomposition",))
+            pulls.append(est.mean / est.std_error)
+        self.assert_unit_spread(pulls, "product decomposition")
 
 
 def swap_factors(sigma: pm.DensityMatrix, dims: pm.BipartiteDims) -> pm.DensityMatrix:
