@@ -44,13 +44,57 @@ from .states import (
 )
 
 
+def _hermitian_features(z: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of the rank-1 operator x x^dag for each row x
+    of the (m, d) array z, component-major as a (d^2, m) array: the d values
+    |x_i|^2, then Re(conj(x_i) x_k) and then Im(conj(x_i) x_k) for i < k,
+    with (i, k) in row-major order."""
+    m, d = z.shape
+    parts = np.empty((2, d, m))
+    parts[0], parts[1] = z.real.T, z.imag.T
+    re, im = parts
+    out = np.empty((d * d, m))
+    np.multiply(re, re, out=out[:d])
+    out[:d] += im * im
+    pairs = d * (d - 1) // 2
+    scratch = np.empty((d - 1, m))
+    row = d
+    for i in range(d - 1):
+        n = d - 1 - i
+        real, imag, tmp = out[row:row + n], out[row + pairs:row + pairs + n], scratch[:n]
+        np.multiply(re[i + 1:], re[i], out=real)
+        np.multiply(im[i + 1:], im[i], out=tmp)
+        real += tmp
+        np.multiply(im[i + 1:], re[i], out=imag)
+        np.multiply(re[i + 1:], im[i], out=tmp)
+        imag -= tmp
+        row += n
+    return out
+
+
+def _real_coordinates(m: np.ndarray, d: int) -> np.ndarray:
+    """The rows of m, indexed by the pairs (i, k) of a d x d operator in
+    row-major order, combined as the real coordinates of
+    ``_hermitian_features`` weigh them: sum_ik X_ik m[ik] = sum_f g_f out[f]
+    for a Hermitian X of coordinates g."""
+    iu, ku = np.triu_indices(d, 1)
+    ik, ki = iu * d + ku, ku * d + iu
+    return np.concatenate([m[np.arange(d) * (d + 1)], m[ik] + m[ki], 1j * (m[ik] - m[ki])])
+
+
 @dataclass(frozen=True, eq=False)
 class JointDensity:
     """Joint density (p_a, p_b) -> <x (x) y| sigma |x (x) y> on the product space.
 
-    Evaluated as ||(x (x) y) F||^2 from the state's eigenfactor F (see
-    ``projective.eigenfactor``), built once here: one GEMM of width
-    rank(sigma) per batch on the Kronecker rows, non-negative by construction.
+    Evaluated in Gram form, as the bilinear form g_y^T S g_x in the d_a^2 and
+    d_b^2 real coordinates g of the projectors x x^dag and y y^dag
+    (``_hermitian_features``). The real (d_b^2, d_a^2) matrix S is built once
+    here from the realigned s = conj(F) F^T, F the state's eigenfactor (see
+    ``projective.eigenfactor``): s_(ij),(kl) pairs the coordinates of
+    conj(x_i) x_k with those of conj(y_j) y_l. A batch costs one GEMM and
+    d_a^2 d_b^2 real multiply-adds per pair whatever the rank of sigma.
+    Rounding can leave a density that is zero in exact arithmetic slightly
+    negative, so the result is clamped at 0.
     """
 
     source: DensityMatrix
@@ -58,7 +102,13 @@ class JointDensity:
 
     def __post_init__(self):
         self.dims.require_joint(self.source.dim)
-        object.__setattr__(self, "_factor", eigenfactor(self.source))
+        factor = eigenfactor(self.source)
+        d_a, d_b = self.dims.dim_a, self.dims.dim_b
+        s = (factor.conj() @ factor.T).reshape(d_a, d_b, d_a, d_b)
+        realigned = s.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+        gram = _real_coordinates(_real_coordinates(realigned, d_a).T, d_b)
+        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_gram", np.ascontiguousarray(gram.real))
 
     def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:
         return float(self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0])
@@ -68,8 +118,8 @@ class JointDensity:
         if xs.shape[1:] != (self.dims.dim_a,) or ys.shape[1:] != (self.dims.dim_b,):
             raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
                                     f"(m, {self.dims.dim_a}), (m, {self.dims.dim_b})")
-        rows = (xs[:, :, None] * ys[:, None, :]).reshape(xs.shape[0], self.dims.joint)
-        return factored_density(rows, self._factor)
+        w = np.einsum("fm,fm->m", self._gram @ _hermitian_features(xs), _hermitian_features(ys))
+        return np.maximum(w, 0.0, out=w)
 
 
 def joint_density_eval(sigma: DensityMatrix, dims: BipartiteDims) -> JointDensity:
@@ -182,8 +232,8 @@ MI_COLUMNS = ("projective", "gaussian", "decomposition")
 
 
 def _trace_moments(factor: np.ndarray) -> tuple[float, float]:
-    """tr s and tr s^2 of the matrix s = conj(F) F^T that factored_density
-    evaluates with the factor F."""
+    """tr s and tr s^2 of the matrix s = conj(F) F^T that the kernels built
+    on the factor F evaluate (factored_density, JointDensity's Gram form)."""
     gram = factor.conj().T @ factor
     return float(np.trace(gram).real), float(np.vdot(gram, gram).real)
 
@@ -232,24 +282,23 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     the joint support) and e the -w log2 w term of the joint density W and the
     marginal Liouville densities W_A, W_B, each evaluated once per batch. Six
     control columns W, W^2, W_A, W_A^2, W_B, W_B^2 follow, whatever
-    ``columns`` holds (see ``_control_means``)."""
+    ``columns`` holds (see ``_control_means``). ``start``, the absolute index
+    of the batch's first sample, numbers the sample a MarginalZeroAnomaly
+    names; the engine passes it, so batches may run in any order."""
     if not columns or not set(columns) <= set(MI_COLUMNS):
         raise BadParameter(f"MI columns must come from {MI_COLUMNS}, got {columns!r}")
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
     log_ratio = not set(columns).isdisjoint(("projective", "gaussian"))
-    done = 0  # rows of earlier batches, so an anomaly names its absolute index
 
-    def batch(xs, ys):
-        nonlocal done
+    def batch(xs, ys, start=0):
         xs, rx2 = project_rows(xs)
         ys, ry2 = project_rows(ys)
         w = joint.eval_batch(xs, ys)
         a = marg_a.eval_batch(xs)
         b = marg_b.eval_batch(ys)
-        mask = check_marginal_support(w, a, b, offset=done)
-        done += len(w)
+        mask = check_marginal_support(w, a, b, offset=start)
         if log_ratio:
             term = _log_ratio(w, a, b, mask)
         column = {

@@ -2,16 +2,19 @@
 
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
-projecting them to the unit sphere. One sequential loop draws raw vectors,
-evaluates and checks every block: a run of n samples is cut into blocks of
-BLOCK rows (the last one shorter), block k draws from the stream of
-(seed, k), and blocks are reduced in ascending k. An estimate and its
-standard error therefore depend on (seed, n_samples) only and reproduce bit
-for bit.
+projecting them to the unit sphere. A run of n samples is cut into blocks
+of BLOCK rows (the last one shorter), and block k draws from the stream of
+(seed, k). Blocks are drawn, evaluated, checked and reduced to their own
+moments on worker threads, one per CPU, and the caller merges those moments
+in ascending k. An estimate and its standard error therefore depend on
+(seed, n_samples) only, not on the number of CPUs, and reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,31 +91,85 @@ def _on_rays(batch_f):
     return lambda *factors: batch_f(*(project_rows(z)[0] for z in factors))
 
 
-def _blocks(cfg: SamplerConfig, dims: tuple, batch_f):
-    """Yield ``(factors, values)`` for each block of the run, in order.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
-    Block k has min(BLOCK, rows left) rows m. It draws one raw (m, n) complex
-    Gaussian array per entry of ``dims`` from the substream of (cfg.seed, k)
-    and evaluates ``batch_f(*factors)`` to one value, or one row of values,
-    per sample; a non-finite value is an error naming its absolute sample
-    index.
+
+def _takes_start(batch_f) -> bool:
+    """Whether ``batch_f`` has a ``start`` parameter, for the absolute index
+    of its block's first sample."""
+    try:
+        return "start" in inspect.signature(batch_f).parameters
+    except (TypeError, ValueError):  # no signature to read, as for a ufunc
+        return False
+
+
+def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, reduce):
+    """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
+    columns, sums)``, for the block of m samples from ``start``.
+
+    Draws one raw (m, n) complex Gaussian array per entry of ``dims`` from
+    ``rng`` and evaluates ``batch_f(*factors)``, passing ``start=start`` if
+    it ``takes_start``, to one value, or one row of values, per sample.
+    ``columns`` holds the values column by column, contiguously, and
+    ``sums`` their sums. A non-finite value is an error naming its absolute
+    sample index.
     """
-    for k, start in enumerate(range(0, cfg.n_samples, BLOCK)):
-        m = min(BLOCK, cfg.n_samples - start)
-        rng = substream(cfg.seed, k)
-        factors = []
-        for n in dims:
-            z = rng.standard_normal((m, 2 * n))
-            c = np.empty((m, n), dtype=complex)
-            c.real, c.imag = z[:, :n], z[:, n:]
-            factors.append(c)
-        with single_blas_thread():
-            values = np.asarray(batch_f(*factors), dtype=float)
+    factors = []
+    for n in dims:
+        z = rng.standard_normal((m, 2 * n))
+        c = np.empty((m, n), dtype=complex)
+        c.real, c.imag = z[:, :n], z[:, n:]
+        factors.append(c)
+    values = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
+    values = np.asarray(values, dtype=float)
+    columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
+    sums = columns.sum(axis=1)
+    # A non-finite value makes its column's sum non-finite: only then look for it.
+    if not np.isfinite(sums).all():
         finite = np.isfinite(values)
         if not finite.all():
             bad = start + int(np.argmin(finite)) // (values.size // m)
             raise NonFiniteSample(f"integrand returned a non-finite value at sample {bad}")
-        yield factors, values
+    return values.ndim == 2, reduce(factors, columns, sums)
+
+
+def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
+    """``_block``'s result for every block of the run, in block order.
+
+    Block k has min(BLOCK, rows left) samples and draws from the substream
+    of (cfg.seed, k). The calling thread makes the substreams in block order
+    and hands the blocks to a pool of one worker per CPU, at most one per
+    block, that lives for this run only. OpenBLAS runs single-threaded for
+    the whole run; the count is process-wide, so the workers inherit it. An
+    integrand with a ``start`` parameter is passed the absolute index of its
+    block's first sample. A block's result depends on its own rows only, so
+    the list is the same for any number of workers. The first block in block
+    order that raises stops the run with its error: the blocks not yet
+    started are cancelled, and the call returns once the running ones have
+    finished.
+    """
+    # Imported here: concurrent.futures takes about 8 ms to import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    takes_start = _takes_start(batch_f)
+    starts = range(0, cfg.n_samples, BLOCK)
+    with single_blas_thread(), ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
+        futures = []
+        try:
+            for k, start in enumerate(starts):
+                m = min(BLOCK, cfg.n_samples - start)
+                futures.append(pool.submit(_block, dims, batch_f, takes_start,
+                                           substream(cfg.seed, k), start, m, reduce))
+            return [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
 
 def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
@@ -122,27 +179,28 @@ def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
     its columns, the sums of squared deviations of all but the last p
     (control) columns and, for p > 0, the (p, p) co-moment matrix of the
     controls and the (k, p) co-moments of each of the other k columns with
-    them. Each block's moments are taken about its own means and merged in
-    block order as in Chan, Golub and LeVeque (1979), cross terms included:
-    M = sum_b M_b + sum_b m_b (u_b - u)(u_b - u)^T for block means u_b and
-    run means u. Centring within a block avoids the cancellation of
-    sum(v^2) - m u^2. Every call that forms one column's moments has the same
-    shape whatever the number of columns, so a column's moments do not depend
-    on the others.
+    them. Each block's moments are taken about its own means, on the worker
+    that evaluated it, and merged in block order as in Chan, Golub and
+    LeVeque (1979), cross terms included: M = sum_b M_b + sum_b m_b (u_b -
+    u)(u_b - u)^T for block means u_b and run means u. Centring within a
+    block avoids the cancellation of sum(v^2) - m u^2. Every call that forms
+    one column's moments has the same shape whatever the number of columns,
+    so a column's moments do not depend on the others.
     """
-    sums, m2s, ccs, fcs, sizes = [], [], [], [], []
-    for _, values in _blocks(cfg, dims, batch_f):
-        columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
-        block_sums = columns.sum(axis=1)
-        centred = columns - (block_sums / len(values))[:, None]
+
+    def moments(factors, columns, sums):
+        m = columns.shape[1]
+        centred = columns - (sums / m)[:, None]
         f, c = centred[:len(centred) - p], centred[len(centred) - p:]
-        sums.append(block_sums)
-        m2s.append(np.einsum("ij,ij->i", f, f))
-        sizes.append([len(values)])
-        if p:
-            # numpy sends c @ c.T to syrk, about 4x slower than gemm at (6, 4096)
-            ccs.append(c.copy() @ c.T)
-            fcs.append([c @ column for column in f])
+        m2 = np.einsum("ij,ij->i", f, f)
+        if not p:
+            return sums, m2, [m], None, None
+        # numpy sends c @ c.T to syrk, about 4x slower than gemm at (6, 4096)
+        return sums, m2, [m], c.copy() @ c.T, [c @ column for column in f]
+
+    blocks = _map_blocks(cfg, dims, batch_f, moments)
+    rows = blocks[-1][0]
+    sums, m2s, sizes, ccs, fcs = zip(*(block for _, block in blocks))
     # Reduce over blocks in block order: sum() would pair the terms.
     sums, m2s, sizes = np.array(sums), np.array(m2s), np.array(sizes)
     mean = np.cumsum(sums, axis=0)[-1] / cfg.n_samples
@@ -154,10 +212,10 @@ def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
     df, dc = deltas[:, :k], sizes * deltas[:, k:]
     m2 = np.cumsum(m2s + sizes * df * df, axis=0)[-1]
     if not p:
-        return values.ndim == 2, mean, m2, None, None
+        return rows, mean, m2, None, None
     cc = np.cumsum(np.array(ccs) + dc[:, :, None] * deltas[:, None, k:], axis=0)[-1]
     fc = np.cumsum(np.array(fcs) + df[:, :, None] * dc[:, None, :], axis=0)[-1]
-    return values.ndim == 2, mean, m2, cc, fc
+    return rows, mean, m2, cc, fc
 
 
 @dataclass(frozen=True)
@@ -278,10 +336,14 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
     accumulated matrix is validated (symmetrized and clamped) at the relaxed
     tolerance 5e-2, then trace-normalized to a strictly valid state.
     """
+    def reduce(factors, columns, sums):
+        # _on_rays projected the drawn rows in place, so ``points`` are unit rows.
+        (points,), (weights,) = factors, columns
+        return np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)
+
     accum = np.zeros((n, n), dtype=complex)
-    # _on_rays projects the yielded rows in place, so ``points`` are unit rows.
-    for (points,), weights in _blocks(cfg, (n,), _on_rays(batch_f)):
-        accum += np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)
+    for _, block in _map_blocks(cfg, (n,), _on_rays(batch_f), reduce):
+        accum += block
 
     moment = accum / cfg.n_samples
     raw = n * (n + 1) * moment - np.eye(n)

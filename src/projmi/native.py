@@ -11,8 +11,11 @@ busy for the whole run. On a 2-CPU host with the other CPU loaded, the
 full-rank 6x6 joint kernel took 8.3 ms per batch on two BLAS threads and
 5.4 ms on one (idle: 4.7 and 5.8 ms). ``single_blas_thread()`` runs a block
 with OpenBLAS at one thread and then restores the previous count. The
-engine enters it around each integrand call; the command line runs each
-command inside it, which also covers the eigendecompositions of set-up.
+engine holds it for a whole run, whose blocks run on worker threads, one per
+CPU: the count is process-wide, so every worker's BLAS calls run on one
+thread and the parallelism is the engine's, one block per CPU. The command
+line runs each command inside it, which also covers the eigendecompositions
+of set-up.
 
 Page faults. glibc hands a freed block back to the kernel when it was
 mapped on its own or leaves enough free memory at the top of the heap, and

@@ -10,6 +10,7 @@ from projmi import montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
+from projmi.montecarlo import BLOCK
 from projmi.projective import LiouvilleDensity
 
 from helpers import agree_within, random_point, random_product_state
@@ -548,14 +549,17 @@ class TestMarginalSupportGuard:
             )
 
     def test_run_names_the_absolute_sample(self, monkeypatch):
-        # Marginal A (the width-3 kernel) vanishes at row 4 of the second batch.
+        # Marginal A (the width-3 kernel) vanishes at row 4 of the second
+        # block. Blocks run on worker threads in any order, so the block is
+        # recognised by its rows: block k draws its x rows first from
+        # substream (seed, k).
+        z = pm.substream(1, 1).standard_normal((BLOCK, 2 * 3))[4]
+        row = (z[:3] + 1j * z[3:]) / np.linalg.norm(z)
         original = LiouvilleDensity.eval_batch
-        widths = []
 
         def patched(self, points):
             values = original(self, points)
-            widths.append(points.shape[1])
-            if widths.count(3) == 2 and points.shape[1] == 3:
+            if points.shape[1] == 3 and np.allclose(points[4], row, rtol=0, atol=1e-15):
                 values[4] = 0.0
             return values
 

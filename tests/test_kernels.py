@@ -126,6 +126,25 @@ class TestJointDensityKernel:
         assert np.all(got >= 0.0)
         np.testing.assert_allclose(got, explicit_density(sigma, rows), rtol=0, atol=1e-14)
 
+    @given(
+        dim_a=st.integers(3, 6),
+        dim_b=st.integers(3, 6),
+        rank_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_form_matches_explicit_at_every_rank(self, dim_a, dim_b, rank_frac, seed):
+        # The Gram form's cost does not depend on the rank; its rounding
+        # must not either. Rows have norms in [0.5, 1.5], not 1.
+        n = dim_a * dim_b
+        rank = 1 + int(rank_frac * (n - 1))
+        sigma = pm.mixed_random(n, rank, seed)
+        rng = np.random.default_rng(seed)
+        xs = unit_rows(rng, 16, dim_a) * rng.uniform(0.5, 1.5, (16, 1))
+        ys = unit_rows(rng, 16, dim_b) * rng.uniform(0.5, 1.5, (16, 1))
+        got = pm.joint_density_eval(sigma, pm.BipartiteDims(dim_a, dim_b)).eval_batch(xs, ys)
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got, explicit_joint(sigma, xs, ys), rtol=0, atol=1e-14)
+
     def test_factor_widths_are_checked(self):
         # A swapped 3 x 4 pair has the right joint width 12 and used to pass.
         joint = pm.joint_density_eval(pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4))

@@ -1,13 +1,22 @@
 """Tests for the deterministic Gaussian Monte Carlo engine."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import oracles
+from projmi import montecarlo, oracles
 from projmi.constants import LOG2_E
-from projmi.errors import BadParameter, NonFiniteSample, ReconstructionOutOfTolerance
+from projmi.errors import (
+    BadParameter,
+    MarginalZeroAnomaly,
+    NonFiniteSample,
+    ReconstructionOutOfTolerance,
+)
 from projmi.montecarlo import BLOCK
+from projmi.projective import LiouvilleDensity
 
 from helpers import random_hermitian
 
@@ -388,3 +397,124 @@ class TestStreamStability:
         )
         pinned = np.array(self.RECONSTRUCTED_RE) + 1j * np.array(self.RECONSTRUCTED_IM)
         assert np.linalg.norm(out.matrix - pinned) <= 1e-12 * np.linalg.norm(pinned)
+
+
+class TestWorkerCount:
+    """Blocks run on one worker thread per CPU. Estimates, reconstructions
+    and errors are the same, bit for bit, for any number of workers."""
+
+    COUNTS = (1, 2, 3)
+
+    @staticmethod
+    def each_count(monkeypatch, run):
+        """``run()`` with the engine seeing 1, 2 and 3 CPUs."""
+        results = []
+        for count in TestWorkerCount.COUNTS:
+            monkeypatch.setattr(montecarlo, "_cpus", lambda count=count: count)
+            results.append(run())
+        return results
+
+    @staticmethod
+    def error_text(error, call):
+        with pytest.raises(error) as info:
+            call()
+        return str(info.value)
+
+    def test_workers_are_the_cpus_capped_by_the_blocks(self, monkeypatch):
+        def threads_used(n_samples):
+            seen = set()
+
+            def batch(xs):
+                seen.add(threading.get_ident())
+                time.sleep(0.005)  # let every worker take a block
+                return np.ones(len(xs))
+
+            pm.gaussian_expectation(3, pm.SamplerConfig(0, n_samples), batch_f=batch)
+            return seen
+
+        assert len(threads_used(12 * BLOCK)) <= montecarlo._cpus()
+        counts = self.each_count(monkeypatch, lambda: len(threads_used(12 * BLOCK)))
+        assert all(used <= count for used, count in zip(counts, self.COUNTS))
+        assert counts[0] == 1
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        assert len(threads_used(2 * BLOCK)) <= 2
+        assert threading.get_ident() not in threads_used(BLOCK)
+
+    def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch):
+        sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
+        rho = pm.liouville_density(pm.mixed_random(3, 3, 8))
+
+        def run():
+            reconstructed = pm.reconstruct_density_matrix(
+                3, pm.SamplerConfig(106, 10_000), batch_f=rho.eval_batch
+            )
+            return (
+                TestStreamStability.estimates(),
+                reconstructed.matrix.tobytes(),
+                pm.mi_estimates(sigma, dims, pm.SamplerConfig(3, 30_000)),
+            )
+
+        first, *others = self.each_count(monkeypatch, run)
+        assert all(other == first for other in others)
+
+    def test_non_finite_sample_names_the_first_block(self, monkeypatch):
+        # Every block fails at its row 5; block 0 fails last in time.
+        def batch(xs, ys, start):
+            if start == 0:
+                time.sleep(0.02)
+            out = np.ones(len(xs))
+            out[5] = np.nan
+            return out
+
+        texts = self.each_count(monkeypatch, lambda: self.error_text(
+            NonFiniteSample,
+            lambda: pm.gaussian_pair_expectation(3, 3, pm.SamplerConfig(0, 6 * BLOCK),
+                                                 batch_f=batch),
+        ))
+        assert texts == ["integrand returned a non-finite value at sample 5"] * 3
+
+    def test_marginal_anomaly_names_the_first_block(self, monkeypatch):
+        # Marginal A vanishes at row 4 of every block.
+        original = LiouvilleDensity.eval_batch
+
+        def patched(self, points):
+            values = original(self, points)
+            if points.shape[1] == 3:
+                values[4] = 0.0
+            return values
+
+        monkeypatch.setattr(LiouvilleDensity, "eval_batch", patched)
+        sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
+        first, *others = self.each_count(monkeypatch, lambda: self.error_text(
+            MarginalZeroAnomaly,
+            lambda: pm.mi_estimates(sigma, dims, pm.SamplerConfig(2, 6 * BLOCK)),
+        ))
+        assert first.endswith("vanishing marginal at sample 4")
+        assert others == [first, first]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_no_block_runs_after_a_raise(self, monkeypatch, count):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: count)
+        lock, running, started = threading.Lock(), [0], []
+
+        def batch(xs, start):
+            with lock:
+                running[0] += 1
+                started.append(start)
+            try:
+                time.sleep(0.01)
+                if start == BLOCK:
+                    raise RuntimeError("block 1 failed")
+                return np.ones(len(xs))
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            pm.gaussian_expectation(3, pm.SamplerConfig(0, 40 * BLOCK), batch_f=batch)
+        assert running[0] == 0
+        assert BLOCK in started
+        ran = len(started)
+        assert ran < 40
+        time.sleep(0.05)
+        assert len(started) == ran

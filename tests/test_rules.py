@@ -1,7 +1,8 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
 eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff.
 These tests pin the shared behaviour at every site that applies a rule, and
-guard against copies of the rules reappearing in other modules."""
+guard against copies of the rules reappearing in other modules. Threads are
+started by the Monte Carlo engine only, and no module reads the environment."""
 
 import re
 from pathlib import Path
@@ -100,3 +101,23 @@ def test_rules_have_one_owner(rule):
         if path.name != "states.py" and re.search(pattern, path.read_text())
     ]
     assert copies == []
+
+
+# Spellings that only the listed modules may contain, each with a line that
+# the pattern must catch.
+CONFINED = {
+    "thread start": (
+        r"\bThread\(|concurrent\.futures|multiprocessing|\b_thread\b",
+        "from concurrent.futures import ThreadPoolExecutor",
+        {"montecarlo.py"},
+    ),
+    "environment read": (r"\benviron\b|getenv", 'os.environ.get("PROJMI_THREADS")', set()),
+}
+
+
+@pytest.mark.parametrize("rule", CONFINED)
+def test_confined_spellings(rule):
+    pattern, example, owners = CONFINED[rule]
+    assert re.search(pattern, example)
+    found = {path.name for path in SRC.glob("*.py") if re.search(pattern, path.read_text())}
+    assert found <= owners
