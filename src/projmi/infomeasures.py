@@ -16,6 +16,13 @@ six controls of the same draw, the joint density W, W^2 and the marginal
 densities a, a^2, b, b^2, whose means over the invariant measures are exact
 (``_control_means``); the paper's integrands are unchanged, only the way
 their sample mean is formed (``montecarlo._estimate``).
+
+A block of the MI integrand makes one pass over each factor's raw draw: it
+builds the real coordinates of x x^dag and y y^dag once
+(``projective.hermitian_features``) and reads the squared radii, both
+marginal densities and the Gram-form joint density from them, without
+normalising a row (``_ray_densities``); log2 of W, a and b is then taken
+once for every requested column.
 """
 
 from __future__ import annotations
@@ -33,9 +40,16 @@ from .montecarlo import (
     gaussian_pair_expectation,
     integrate_mu,
     integrate_product_nu,  # unused here; bound for perfbench's tracer
-    project_rows,
 )
-from .projective import ProjectivePoint, eigenfactor, factored_density, liouville_density
+from .projective import (
+    LiouvilleDensity,
+    ProjectivePoint,
+    eigenfactor,
+    factored_density,
+    hermitian_features,
+    liouville_density,
+    real_coordinates,
+)
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -44,57 +58,19 @@ from .states import (
 )
 
 
-def _hermitian_features(z: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates of the rank-1 operator x x^dag for each row x
-    of the (m, d) array z, component-major as a (d^2, m) array: the d values
-    |x_i|^2, then Re(conj(x_i) x_k) and then Im(conj(x_i) x_k) for i < k,
-    with (i, k) in row-major order."""
-    m, d = z.shape
-    parts = np.empty((2, d, m))
-    parts[0], parts[1] = z.real.T, z.imag.T
-    re, im = parts
-    out = np.empty((d * d, m))
-    np.multiply(re, re, out=out[:d])
-    out[:d] += im * im
-    pairs = d * (d - 1) // 2
-    scratch = np.empty((d - 1, m))
-    row = d
-    for i in range(d - 1):
-        n = d - 1 - i
-        real, imag, tmp = out[row:row + n], out[row + pairs:row + pairs + n], scratch[:n]
-        np.multiply(re[i + 1:], re[i], out=real)
-        np.multiply(im[i + 1:], im[i], out=tmp)
-        real += tmp
-        np.multiply(im[i + 1:], re[i], out=imag)
-        np.multiply(re[i + 1:], im[i], out=tmp)
-        imag -= tmp
-        row += n
-    return out
-
-
-def _real_coordinates(m: np.ndarray, d: int) -> np.ndarray:
-    """The rows of m, indexed by the pairs (i, k) of a d x d operator in
-    row-major order, combined as the real coordinates of
-    ``_hermitian_features`` weigh them: sum_ik X_ik m[ik] = sum_f g_f out[f]
-    for a Hermitian X of coordinates g."""
-    iu, ku = np.triu_indices(d, 1)
-    ik, ki = iu * d + ku, ku * d + iu
-    return np.concatenate([m[np.arange(d) * (d + 1)], m[ik] + m[ki], 1j * (m[ik] - m[ki])])
-
-
 @dataclass(frozen=True, eq=False)
 class JointDensity:
     """Joint density (p_a, p_b) -> <x (x) y| sigma |x (x) y> on the product space.
 
-    Evaluated in Gram form, as the bilinear form g_y^T S g_x in the d_a^2 and
-    d_b^2 real coordinates g of the projectors x x^dag and y y^dag
-    (``_hermitian_features``). The real (d_b^2, d_a^2) matrix S is built once
-    here from the realigned s = conj(F) F^T, F the state's eigenfactor (see
-    ``projective.eigenfactor``): s_(ij),(kl) pairs the coordinates of
-    conj(x_i) x_k with those of conj(y_j) y_l. A batch costs one GEMM and
-    d_a^2 d_b^2 real multiply-adds per pair whatever the rank of sigma.
-    Rounding can leave a density that is zero in exact arithmetic slightly
-    negative, so the result is clamped at 0.
+    Evaluated in Gram form, as the bilinear form g_y^T S g_x in the d_a^2
+    and d_b^2 real coordinates g of the projectors x x^dag and y y^dag
+    (``projective.hermitian_features``). The real (d_b^2, d_a^2) matrix S
+    is built once here from the realigned s = conj(F) F^T, F the state's
+    eigenfactor (see ``projective.eigenfactor``): s_(ij),(kl) pairs the
+    coordinates of conj(x_i) x_k with those of conj(y_j) y_l. A batch costs
+    one GEMM and d_a^2 d_b^2 real multiply-adds per pair whatever the rank
+    of sigma. Rounding can leave a density that is zero in exact arithmetic
+    slightly negative, so the result is clamped at 0.
     """
 
     source: DensityMatrix
@@ -106,7 +82,7 @@ class JointDensity:
         d_a, d_b = self.dims.dim_a, self.dims.dim_b
         s = (factor.conj() @ factor.T).reshape(d_a, d_b, d_a, d_b)
         realigned = s.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-        gram = _real_coordinates(_real_coordinates(realigned, d_a).T, d_b)
+        gram = real_coordinates(real_coordinates(realigned, d_a).T, d_b)
         object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "_gram", np.ascontiguousarray(gram.real))
 
@@ -118,7 +94,12 @@ class JointDensity:
         if xs.shape[1:] != (self.dims.dim_a,) or ys.shape[1:] != (self.dims.dim_b,):
             raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
                                     f"(m, {self.dims.dim_a}), (m, {self.dims.dim_b})")
-        w = np.einsum("fm,fm->m", self._gram @ _hermitian_features(xs), _hermitian_features(ys))
+        return self.eval_features(hermitian_features(xs), hermitian_features(ys))
+
+    def eval_features(self, features_x: np.ndarray, features_y: np.ndarray) -> np.ndarray:
+        """Density per column pair of the ``hermitian_features`` of rows x,
+        y of any norm: <x (x) y| sigma |x (x) y>, clamped at 0."""
+        w = np.einsum("fm,fm->m", self._gram @ features_x, features_y)
         return np.maximum(w, 0.0, out=w)
 
 
@@ -175,15 +156,17 @@ def marginal_density(
     raise BadParameter(f"mode must be 'analytic' or 'mc', got {mode!r}")
 
 
+def _support_log2(w: np.ndarray) -> np.ndarray:
+    """log2 w on the support w > DENSITY_SUPPORT_EPS, zero off it."""
+    mask = w > DENSITY_SUPPORT_EPS
+    if mask.all():  # the usual block, evaluated without a masked pass
+        return np.log2(w)
+    return np.log2(w, out=np.zeros_like(w), where=mask)
+
+
 def _entropy_terms(w: np.ndarray) -> np.ndarray:
     """-w log2 w elementwise, zero at or below the support cutoff."""
-    mask = w > DENSITY_SUPPORT_EPS
-    if mask.all():  # the usual block, evaluated without gathers
-        return -w * np.log2(w)
-    out = np.zeros_like(w)
-    wm = w[mask]
-    out[mask] = -wm * np.log2(wm)
-    return out
+    return -w * _support_log2(w)
 
 
 def differential_entropy_mu(sigma: DensityMatrix, cfg: SamplerConfig) -> MCEstimate:
@@ -262,14 +245,26 @@ def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
     return tuple(means)
 
 
-def _log_ratio(w: np.ndarray, a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """w log2(w / (a b)) on the support ``mask``, zero off it."""
-    if mask.all():  # the usual block, evaluated without gathers
-        return w * (np.log2(w) - np.log2(a) - np.log2(b))
-    term = np.zeros_like(w)
-    wm = w[mask]
-    term[mask] = wm * (np.log2(wm) - np.log2(a[mask]) - np.log2(b[mask]))
-    return term
+def _ray_densities(joint: JointDensity, marg_a: LiouvilleDensity, marg_b: LiouvilleDensity,
+                   xs: np.ndarray, ys: np.ndarray):
+    """W, a and b on the rays of the raw rows xs, ys, and r_x^2 r_y^2.
+
+    One ``hermitian_features`` pass per factor serves everything: the
+    squared radius r^2 is the sum of the d diagonal features, each marginal
+    applies its real coordinates to its factor's features over r^2, and the
+    joint density is the Gram form over r_x^2 r_y^2. No row is normalised.
+    """
+    d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
+    features_x, features_y = hermitian_features(xs), hermitian_features(ys)
+    rx2, ry2 = features_x[:d_a].sum(axis=0), features_y[:d_b].sum(axis=0)
+    a = marg_a.eval_features(features_x)
+    a /= rx2
+    b = marg_b.eval_features(features_y)
+    b /= ry2
+    r2 = rx2 * ry2
+    w = joint.eval_features(features_x, features_y)
+    w /= r2
+    return w, a, b, r2
 
 
 def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
@@ -280,11 +275,13 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     r_x^2 r_y^2 L (gaussian) and d_a e_A + d_b e_B - d_a d_b e_J
     (decomposition), for L = W log2(W / (W_A W_B)) on the unit rows (zero off
     the joint support) and e the -w log2 w term of the joint density W and the
-    marginal Liouville densities W_A, W_B, each evaluated once per batch. Six
-    control columns W, W^2, W_A, W_A^2, W_B, W_B^2 follow, whatever
-    ``columns`` holds (see ``_control_means``). ``start``, the absolute index
-    of the batch's first sample, numbers the sample a MarginalZeroAnomaly
-    names; the engine passes it, so batches may run in any order."""
+    marginal Liouville densities W_A, W_B. The densities come from one feature
+    pass per factor (``_ray_densities``) and each of their log2 is taken once
+    for every column. Six control columns W, W^2, W_A, W_A^2, W_B, W_B^2
+    follow, whatever ``columns`` holds (see ``_control_means``). ``start``,
+    the absolute index of the batch's first sample, numbers the sample a
+    MarginalZeroAnomaly names; the engine passes it, so batches may run in
+    any order."""
     if not columns or not set(columns) <= set(MI_COLUMNS):
         raise BadParameter(f"MI columns must come from {MI_COLUMNS}, got {columns!r}")
     joint = joint_density_eval(sigma, dims)
@@ -293,20 +290,18 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     log_ratio = not set(columns).isdisjoint(("projective", "gaussian"))
 
     def batch(xs, ys, start=0):
-        xs, rx2 = project_rows(xs)
-        ys, ry2 = project_rows(ys)
-        w = joint.eval_batch(xs, ys)
-        a = marg_a.eval_batch(xs)
-        b = marg_b.eval_batch(ys)
+        w, a, b, r2 = _ray_densities(joint, marg_a, marg_b, xs, ys)
         mask = check_marginal_support(w, a, b, offset=start)
+        log_w, log_a, log_b = _support_log2(w), _support_log2(a), _support_log2(b)
         if log_ratio:
-            term = _log_ratio(w, a, b, mask)
+            term = w * (log_w - log_a - log_b)
+            if not mask.all():
+                term[~mask] = 0.0
         column = {
             "projective": lambda: dims.joint * term,
-            "gaussian": lambda: rx2 * ry2 * term,
-            "decomposition": lambda: (dims.dim_a * _entropy_terms(a)
-                                      + dims.dim_b * _entropy_terms(b)
-                                      - dims.joint * _entropy_terms(w)),
+            "gaussian": lambda: r2 * term,
+            "decomposition": lambda: (dims.joint * w * log_w - dims.dim_a * a * log_a
+                                      - dims.dim_b * b * log_b),
         }
         # Filled by rows and returned transposed, so the engine's (columns,
         # rows) view of it is contiguous and needs no copy.

@@ -109,15 +109,52 @@ def factored_density(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", amp, amp)
 
 
+def hermitian_features(z: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of the rank-1 operator x x^dag for each row x
+    of the (m, d) array z, component-major as a (d^2, m) array: the d values
+    |x_i|^2, then Re(conj(x_i) x_k) and then Im(conj(x_i) x_k) for i < k,
+    with (i, k) in row-major order. The first d rows sum to |x|^2."""
+    m, d = z.shape
+    pairs = d * (d - 1) // 2
+    out = np.empty((d * d, m))
+    np.square(z.real.T, out=out[:d])
+    out[:d] += np.square(z.imag.T)
+    # One row i of products at a time keeps the scratch to d - 1 rows.
+    zt, products = z.T, np.empty((d - 1, m), dtype=complex)
+    row = d
+    for i in range(d - 1):
+        n = d - 1 - i
+        np.multiply(zt[i + 1:], zt[i].conj(), out=products[:n])
+        out[row:row + n], out[row + pairs:row + pairs + n] = products[:n].real, products[:n].imag
+        row += n
+    return out
+
+
+def real_coordinates(m: np.ndarray, d: int) -> np.ndarray:
+    """The rows of m, indexed by the pairs (i, k) of a d x d operator in
+    row-major order, combined as the real coordinates of
+    ``hermitian_features`` weigh them: sum_ik m[ik] conj(x_i) x_k =
+    sum_f c_f g_f for the features g of x and the combined rows c. For a
+    Hermitian m, c is real."""
+    iu, ku = np.triu_indices(d, 1)
+    ik, ki = iu * d + ku, ku * d + iu
+    return np.concatenate([m[np.arange(d) * (d + 1)], m[ik] + m[ki], 1j * (m[ik] - m[ki])])
+
+
 @dataclass(frozen=True, eq=False)
 class LiouvilleDensity:
     """Evaluatable density p -> tr(sigma p) on projective space for a state
-    sigma, evaluated as ||x F||^2 from the eigenfactor F built once here."""
+    sigma, evaluated as ||x F||^2 from the eigenfactor F built once here, or
+    as the real coordinates of s = conj(F) F^T applied to the Hermitian
+    features of the rows (``eval_features``)."""
 
     source: DensityMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "_factor", eigenfactor(self.source))
+        factor = eigenfactor(self.source)
+        coordinates = real_coordinates((factor.conj() @ factor.T).ravel(), self.source.dim)
+        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_coordinates", np.ascontiguousarray(coordinates.real))
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_batch(p.vector[None, :])[0])
@@ -127,6 +164,13 @@ class LiouvilleDensity:
         if points.shape[1:] != (self.source.dim,):
             raise DimensionMismatch(f"batch shape {points.shape} != (m, {self.source.dim})")
         return factored_density(points, self._factor)
+
+    def eval_features(self, features: np.ndarray) -> np.ndarray:
+        """<x|s|x> per column of the (d^2, m) ``hermitian_features`` of rows
+        x of any norm, one GEMV. Rounding can leave a density that is zero
+        in exact arithmetic slightly negative, so the result is clamped at 0."""
+        out = self._coordinates @ features
+        return np.maximum(out, 0.0, out=out)
 
 
 def liouville_density(sigma: DensityMatrix) -> LiouvilleDensity:

@@ -11,7 +11,7 @@ from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
 from projmi.montecarlo import BLOCK
-from projmi.projective import LiouvilleDensity
+from projmi.projective import LiouvilleDensity, hermitian_features
 
 from helpers import agree_within, random_point, random_product_state
 
@@ -549,21 +549,21 @@ class TestMarginalSupportGuard:
             )
 
     def test_run_names_the_absolute_sample(self, monkeypatch):
-        # Marginal A (the width-3 kernel) vanishes at row 4 of the second
-        # block. Blocks run on worker threads in any order, so the block is
-        # recognised by its rows: block k draws its x rows first from
-        # substream (seed, k).
-        z = pm.substream(1, 1).standard_normal((BLOCK, 2 * 3))[4]
-        row = (z[:3] + 1j * z[3:]) / np.linalg.norm(z)
-        original = LiouvilleDensity.eval_batch
+        # Marginal A (the 9 features of width-3 rows) vanishes at row 4 of
+        # the second block. Blocks run on worker threads in any order, so the
+        # block is recognised by its rows: block k draws its x rows first
+        # from substream (seed, k).
+        x = pm.substream(1, 1).standard_normal((BLOCK, 2 * 3)).view(complex)[4]
+        row = hermitian_features(x[None, :])[:, 0]
+        original = LiouvilleDensity.eval_features
 
-        def patched(self, points):
-            values = original(self, points)
-            if points.shape[1] == 3 and np.allclose(points[4], row, rtol=0, atol=1e-15):
+        def patched(self, features):
+            values = original(self, features)
+            if len(features) == 9 and np.allclose(features[:, 4], row, rtol=0, atol=1e-15):
                 values[4] = 0.0
             return values
 
-        monkeypatch.setattr(LiouvilleDensity, "eval_batch", patched)
+        monkeypatch.setattr(LiouvilleDensity, "eval_features", patched)
         sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
         with pytest.raises(MarginalZeroAnomaly, match="sample 4100$"):
             pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 8192))

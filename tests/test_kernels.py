@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import projmi as pm
 from projmi import infomeasures
 from projmi.errors import DimensionMismatch, NotHermitian
+from projmi.montecarlo import project_rows
 from projmi.projective import quadratic_form
 
 
@@ -259,3 +260,84 @@ def test_pure_state_gaussian_term_is_the_overlap(monkeypatch):
     xs = gaussian_rows(np.random.default_rng(11), 200, 5)
     u = np.array([abs(np.vdot(psi, x)) ** 2 for x in xs])
     np.testing.assert_allclose(captured["batch_f"](xs), -u * np.log2(u), rtol=1e-13, atol=0)
+
+
+def _split_states(d_a, d_b):
+    n = d_a * d_b
+    return {
+        "rank1": pm.pure_random(n, 31),
+        "rank_deficient": pm.mixed_random(n, 3, 32),
+        "full_rank": pm.mixed_random(n, None, 33),
+        "product": pm.validate_density(
+            pm.tensor(pm.mixed_random(d_a, None, 34), pm.mixed_random(d_b, 2, 35))
+        ),
+    }
+
+
+RAY_CASES = [
+    (d_a, d_b, kind)
+    for d_a, d_b in [(3, 3), (3, 4), (4, 3), (6, 6)]
+    for kind in ("rank1", "rank_deficient", "full_rank", "product")
+]
+
+
+class TestRayDensities:
+    """The MI integrand reads W, a, b and r_x^2 r_y^2 from one feature pass
+    over the raw rows; the per-kernel path normalises the rows first."""
+
+    @staticmethod
+    def kernels(sigma, dims):
+        return (
+            pm.joint_density_eval(sigma, dims),
+            pm.liouville_density(pm.partial_trace(sigma, dims, "A")),
+            pm.liouville_density(pm.partial_trace(sigma, dims, "B")),
+        )
+
+    @pytest.mark.parametrize("d_a, d_b, kind", RAY_CASES)
+    def test_matches_the_kernels_on_projected_rows(self, d_a, d_b, kind):
+        sigma, dims = _split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
+        joint, marg_a, marg_b = self.kernels(sigma, dims)
+        rng = np.random.default_rng(12)
+        xs, ys = gaussian_rows(rng, 500, d_a), gaussian_rows(rng, 500, d_b)
+        w, a, b, r2 = infomeasures._ray_densities(joint, marg_a, marg_b, xs, ys)
+        units_x, rx2 = project_rows(xs.copy())
+        units_y, ry2 = project_rows(ys.copy())
+        np.testing.assert_allclose(w, joint.eval_batch(units_x, units_y), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(a, marg_a.eval_batch(units_x), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b, marg_b.eval_batch(units_y), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r2, rx2 * ry2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d_a, d_b, kind", RAY_CASES)
+    def test_integrand_columns_are_the_ray_densities(self, d_a, d_b, kind):
+        sigma, dims = _split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
+        batch, _ = infomeasures._mi_integrand(sigma, dims, infomeasures.MI_COLUMNS)
+        rng = np.random.default_rng(13)
+        xs, ys = gaussian_rows(rng, 500, d_a), gaussian_rows(rng, 500, d_b)
+        w, a, b, r2 = infomeasures._ray_densities(*self.kernels(sigma, dims), xs, ys)
+        out = batch(xs, ys)
+        projective, gaussian = out[:, 0], out[:, 1]
+        controls = out[:, 3:].T
+        for got, want in zip(controls, (w, w * w, a, a * a, b, b * b)):
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(gaussian * dims.joint, projective * r2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_rank_deficient_marginals_are_never_negative(self, d):
+        # A Schmidt-rank-2 pure state: both marginals have rank 2, and rows
+        # within 1e-9 of their kernels have densities near 1e-18, where the
+        # feature form's rounding (about 1e-16) changes sign.
+        rng = np.random.default_rng(d)
+        u, v = pm.haar_unitary(d, rng), pm.haar_unitary(d, rng)
+        psi = (np.kron(u[:, 0], v[:, 0]) + np.kron(u[:, 1], v[:, 1])) / np.sqrt(2)
+        sigma, dims = pm.validate_density(np.outer(psi, psi.conj())), pm.BipartiteDims(d, d)
+        joint, marg_a, marg_b = self.kernels(sigma, dims)
+        assert marg_a._factor.shape == marg_b._factor.shape == (d, 2)
+
+        def near_kernel(basis):
+            rows = gaussian_rows(rng, 4096, d - 2) @ basis[:, 2:].T
+            return rows + 1e-9 * gaussian_rows(rng, 4096, d)
+
+        xs, ys = near_kernel(u), near_kernel(v)
+        w, a, b, _ = infomeasures._ray_densities(joint, marg_a, marg_b, xs, ys)
+        assert np.all(a >= 0.0) and np.all(b >= 0.0) and np.all(w >= 0.0)
+        assert a.max() < 1e-14 and b.max() < 1e-14
