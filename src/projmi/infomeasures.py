@@ -12,10 +12,14 @@ integral. Projective and Gaussian are reported side by side with their
 measured ratio rather than reconciled; see MIReport.
 
 Each estimate is the regression (control-variate) estimate of its column on
-six controls of the same draw, the joint density W, W^2 and the marginal
-densities a, a^2, b, b^2, whose means over the invariant measures are exact
-(``_control_means``); the paper's integrands are unchanged, only the way
-their sample mean is formed (``montecarlo._estimate``).
+nine controls of the same draw, the joint density W, W^2, W^3 and the
+marginal densities a, a^2, a^3, b, b^2, b^3, whose means over the invariant
+measures are exact (``_control_means``): E[(xx^dag)^(x)k] is the sum of the
+k! permutation operators over d(d+1)...(d+k-1) (Harrow 2013, "The church of
+the symmetric subspace"), so E[W^k] is a sum over the orbits of S_k x S_k
+of traces of sigma, its powers, its partial traces and its partial
+transpose. The paper's integrands are unchanged, only the way their sample
+mean is formed (``montecarlo._estimate``).
 
 A block of the MI integrand makes one pass over each factor's raw draw: it
 builds the real coordinates of x x^dag and y y^dag once
@@ -214,35 +218,62 @@ def check_marginal_support(
 MI_COLUMNS = ("projective", "gaussian", "decomposition")
 
 
-def _trace_moments(factor: np.ndarray) -> tuple[float, float]:
-    """tr s and tr s^2 of the matrix s = conj(F) F^T that the kernels built
-    on the factor F evaluate (factored_density, JointDensity's Gram form)."""
-    gram = factor.conj().T @ factor
-    return float(np.trace(gram).real), float(np.vdot(gram, gram).real)
+def _power_sums(m: np.ndarray) -> tuple[float, float, float]:
+    """tr m, tr m^2 and tr m^3 of a Hermitian matrix m, by matrix products."""
+    square = m @ m
+    return float(np.trace(m).real), float(np.vdot(m, m).real), float(np.vdot(square, m).real)
+
+
+def _ray_moments(factor: np.ndarray) -> tuple[float, float, float]:
+    """E[q], E[q^2], E[q^3] of the density q = <x|s|x> that the kernels
+    built on the (d, r) factor F evaluate, s = conj(F) F^T, over unit rays
+    x of C^d: (p_1, p_1^2 + p_2, p_1^3 + 3 p_1 p_2 + 2 p_3) over d, d(d+1)
+    and d(d+1)(d+2), for the power sums p_j = tr s^j = tr G^j of the r x r
+    Gram G = F^dag F."""
+    d = len(factor)
+    p1, p2, p3 = _power_sums(factor.conj().T @ factor)
+    return (p1 / d, (p1 * p1 + p2) / (d * (d + 1)),
+            (p1 ** 3 + 3 * p1 * p2 + 2 * p3) / (d * (d + 1) * (d + 2)))
 
 
 def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
-    """Exact means of the controls W, W^2, a, a^2, b, b^2 over the product
-    of invariant measures, from the matrices the kernels evaluate.
+    """Exact means of the controls W, W^2, W^3, a, a^2, a^3, b, b^2, b^3
+    over the product of invariant measures, from the matrices the kernels
+    evaluate.
 
-    For a unit ray x of C^d, E[xx^dag (x) xx^dag] = (I + SWAP) / (d(d+1)), so
-    a quadratic form q = <x|s|x> has E[q] = tr s / d and E[q^2] = ((tr s)^2 +
-    tr s^2) / (d(d+1)), and the joint density has E[W] = tr sigma / (d_a d_b)
-    and E[W^2] = ((tr sigma)^2 + tr sigma^2 + tr rho_A^2 + tr rho_B^2) /
-    (d_a(d_a+1) d_b(d_b+1)), with rho_A, rho_B the partial traces of sigma.
+    For a unit ray x of C^d, E[(xx^dag)^(x)k] = sum_pi P_pi / (d)_k, the
+    permutations P_pi of the k tensor factors over the rising factorial
+    (d)_k = d(d+1)...(d+k-1) (Harrow 2013, "The church of the symmetric
+    subspace"). A marginal's moments follow from power sums
+    (``_ray_moments``). For the joint density W of sigma, (d_a)_k (d_b)_k
+    E[W^k] sums tr[sigma^(x)k (P_pi (x) P_tau)] over pairs of permutations
+    of the A and B factors, one term per orbit of S_k x S_k under
+    simultaneous conjugation times its size, with rho_A, rho_B the partial
+    traces of sigma and T_B the partial transpose:
+      k = 1: tr sigma;
+      k = 2: (tr sigma)^2 + tr sigma^2 + tr rho_A^2 + tr rho_B^2;
+      k = 3: (tr sigma)^3 + 3 tr sigma (tr rho_A^2 + tr rho_B^2 + tr sigma^2)
+             + 2 (tr rho_A^3 + tr rho_B^3 + tr sigma^3)
+             + 6 tr[sigma (rho_A (x) rho_B)] + 6 tr[tr_B(sigma^2) rho_A]
+             + 6 tr[tr_A(sigma^2) rho_B] + 2 tr[(sigma^T_B)^3].
     """
     d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
-    tr, tr2 = _trace_moments(joint._factor)
-    f = joint._factor.reshape(d_a, d_b, -1)
-    rho_a = np.einsum("ijq,kjq->ik", f.conj(), f)
-    rho_b = np.einsum("ijq,ilq->jl", f.conj(), f)
-    tr2_a, tr2_b = (float(np.vdot(rho, rho).real) for rho in (rho_a, rho_b))
-    means = [tr / (d_a * d_b),
-             (tr * tr + tr2 + tr2_a + tr2_b) / (d_a * (d_a + 1) * d_b * (d_b + 1))]
-    for marginal, d in ((marg_a, d_a), (marg_b, d_b)):
-        tr, tr2 = _trace_moments(marginal._factor)
-        means += [tr / d, (tr * tr + tr2) / (d * (d + 1))]
-    return tuple(means)
+    s = joint._factor.conj() @ joint._factor.T
+    p1, p2, p3 = _power_sums(s)
+    t, t2 = s.reshape(d_a, d_b, d_a, d_b), (s @ s).reshape(d_a, d_b, d_a, d_b)
+    rho_a, rho_b = np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+    _, a2, a3 = _power_sums(rho_a)
+    _, b2, b3 = _power_sums(rho_b)
+    mixed = float((np.einsum("ijkl,ki,lj->", t, rho_a, rho_b)
+                   + np.vdot(np.einsum("ijkj->ik", t2), rho_a)
+                   + np.vdot(np.einsum("ijil->jl", t2), rho_b)).real)
+    _, _, pt3 = _power_sums(t.transpose(0, 3, 2, 1).reshape(s.shape))
+    rising_a, rising_b = d_a * (d_a + 1), d_b * (d_b + 1)
+    means = [p1 / (d_a * d_b),
+             (p1 * p1 + p2 + a2 + b2) / (rising_a * rising_b),
+             (p1 ** 3 + 3 * p1 * (a2 + b2 + p2) + 2 * (a3 + b3 + p3) + 6 * mixed + 2 * pt3)
+             / (rising_a * (d_a + 2) * rising_b * (d_b + 2))]
+    return (*means, *_ray_moments(marg_a._factor), *_ray_moments(marg_b._factor))
 
 
 def _ray_densities(joint: JointDensity, marg_a: LiouvilleDensity, marg_b: LiouvilleDensity,
@@ -277,8 +308,10 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     the joint support) and e the -w log2 w term of the joint density W and the
     marginal Liouville densities W_A, W_B. The densities come from one feature
     pass per factor (``_ray_densities``) and each of their log2 is taken once
-    for every column. Six control columns W, W^2, W_A, W_A^2, W_B, W_B^2
-    follow, whatever ``columns`` holds (see ``_control_means``). ``start``,
+    for every column. Nine control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
+    W_B, W_B^2, W_B^3 follow, whatever ``columns`` holds, the cubes formed as
+    square times density; their exact means are sums over the orbits of
+    S_k x S_k (``_control_means``). ``start``,
     the absolute index of the batch's first sample, numbers the sample a
     MarginalZeroAnomaly names; the engine passes it, so batches may run in
     any order."""
@@ -305,12 +338,13 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
         }
         # Filled by rows and returned transposed, so the engine's (columns,
         # rows) view of it is contiguous and needs no copy.
-        out = np.empty((len(columns) + 6, len(w)))
+        out = np.empty((len(columns) + 9, len(w)))
         for row, name in zip(out, columns):
             row[...] = column[name]()
         controls = out[len(columns):]
-        controls[0], controls[2], controls[4] = w, a, b
-        np.square(controls[::2], out=controls[1::2])
+        controls[0], controls[3], controls[6] = w, a, b
+        np.square(controls[::3], out=controls[1::3])
+        np.multiply(controls[1::3], controls[::3], out=controls[2::3])
         return out.T
 
     return batch, _control_means(joint, marg_a, marg_b)
@@ -321,7 +355,7 @@ def mi_estimates(
 ) -> tuple[MCEstimate, ...]:
     """The MI estimates named by ``columns`` (from MI_COLUMNS, tagged "mi_<name>"),
     in order, from one engine run at ``cfg``; each equals its standalone
-    estimator. Each is the regression estimate on the integrand's six
+    estimator. Each is the regression estimate on the integrand's nine
     controls (see ``_mi_integrand`` and ``montecarlo._estimate``)."""
     batch, means = _mi_integrand(sigma, dims, columns)
     estimates = gaussian_pair_expectation(

@@ -41,10 +41,11 @@ from .states import DensityMatrix, rank_cutoff, spectral, validate_density
 BLOCK = 4096
 
 # Fewest samples at which a regression estimate uses its controls. Below it
-# the residual SE is overconfident on heavy-tailed integrands: over 400 seeds
-# of the projective MI of maxent 3x3, pull sd 7.6, 2.1 and 1.19 at 8, 20 and
-# 100 samples (sample mean: 1.6, 1.1 and 1.04), and 0.97-1.05 at 4096 on
-# maxent 3x3, 5x5 and a product state's decomposition.
+# the residual SE is overconfident on heavy-tailed integrands: with the nine
+# MI controls, over 400 seeds of the projective MI of maxent 3x3, pull sd 6.2
+# and 1.17 at 20 and 100 samples (sample mean: 1.15 and 0.96). At 4096 it is
+# 1.001 on maxent 3x3, 0.967 on maxent 5x5 and 0.956 for mixed 9x9
+# projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
 
 

@@ -1,5 +1,7 @@
 """Tests for the entropy and mutual-information estimators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_suppor
 from projmi.montecarlo import BLOCK
 from projmi.projective import LiouvilleDensity, hermitian_features
 
-from helpers import agree_within, random_point, random_product_state
+from helpers import agree_within, random_point, random_product_state, split_states
 
 DIMS33 = pm.BipartiteDims(3, 3)
 
@@ -340,14 +342,49 @@ class TestControlMeans:
         )
         # A constant control (a and b on maxent) matches to rounding only.
         rounding = 64 * np.finfo(float).eps
-        for est, exact, label in zip(controls, means, ("W", "W^2", "a", "a^2", "b", "b^2")):
+        labels = [f"{q}^{k}" for q in "Wab" for k in (1, 2, 3)]
+        for est, exact, label in zip(controls, means, labels, strict=True):
             assert abs(est.mean - exact) <= 4 * est.std_error + rounding * exact, label
+
+
+def permutation_sum_moment(m: np.ndarray, d_a: int, d_b: int, k: int) -> float:
+    """E[<x (x) y|m|x (x) y>^k] over unit rays x, y of C^d_a, C^d_b from its
+    definition: sum over pi, tau in S_k of tr[(P_pi (x) P_tau) m^(x)k] over
+    (d_a)_k (d_b)_k, one einsum per pair of permutations. d_b = 1 gives the
+    moments of <x|m|x>."""
+    t = m.reshape(d_a, d_b, d_a, d_b)
+    a, b = "abc"[:k], "def"[:k]
+    total = sum(
+        np.einsum(",".join(a[i] + b[i] + a[pi[i]] + b[tau[i]] for i in range(k)) + "->",
+                  *[t] * k)
+        for pi in itertools.permutations(range(k)) for tau in itertools.permutations(range(k))
+    )
+    return float(total.real) / float(np.prod([(d_a + i) * (d_b + i) for i in range(k)]))
+
+
+class TestExactMoments:
+    """The controls' closed-form means against the permutation sums that
+    define them, for the state and its complex conjugate."""
+
+    @pytest.mark.parametrize("d_a, d_b", [(3, 3), (3, 4), (4, 3), (5, 5), (6, 6)])
+    @pytest.mark.parametrize("kind", ["rank1", "rank_deficient", "full_rank", "product"])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_means_match_the_permutation_sums(self, d_a, d_b, kind, conjugate):
+        sigma, dims = split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
+        if conjugate:
+            sigma = pm.validate_density(sigma.matrix.conj())
+        _, means = _mi_integrand(sigma, dims, ("projective",))
+        rho_a, rho_b = (pm.partial_trace(sigma, dims, side).matrix for side in "AB")
+        densities = [(sigma.matrix, d_a, d_b), (rho_a, d_a, 1), (rho_b, d_b, 1)]
+        for j, (label, k) in enumerate(itertools.product("Wab", (1, 2, 3))):
+            want = permutation_sum_moment(*densities[j // 3], k)
+            assert means[j] == pytest.approx(want, rel=1e-12, abs=0.0), f"E[{label}^{k}]"
 
 
 class TestControlFit:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_maxent_regresses_on_the_joint_controls_only(self, monkeypatch, d):
-        # a = b = 1/d on every unit row: only W and W^2 vary.
+        # a = b = 1/d on every unit row: only W, W^2 and W^3 vary.
         fits = []
         original = montecarlo._control_fit
 
@@ -359,8 +396,8 @@ class TestControlFit:
         pm.mi_estimates(pm.maximally_entangled(d), pm.BipartiteDims(d, d),
                         pm.SamplerConfig(0, 5000))
         (fit,) = fits
-        assert fit.kept.tolist() == [0, 1]
-        assert fit.rank == 2
+        assert fit.kept.tolist() == [0, 1, 2]
+        assert fit.rank == 3
 
     @pytest.mark.parametrize("n, fitted", [(montecarlo.MIN_CONTROL_SAMPLES - 1, False),
                                            (montecarlo.MIN_CONTROL_SAMPLES, True)])

@@ -11,6 +11,8 @@ from projmi.errors import DimensionMismatch, NotHermitian
 from projmi.montecarlo import project_rows
 from projmi.projective import quadratic_form
 
+from helpers import split_states
+
 
 def gaussian_rows(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -262,18 +264,6 @@ def test_pure_state_gaussian_term_is_the_overlap(monkeypatch):
     np.testing.assert_allclose(captured["batch_f"](xs), -u * np.log2(u), rtol=1e-13, atol=0)
 
 
-def _split_states(d_a, d_b):
-    n = d_a * d_b
-    return {
-        "rank1": pm.pure_random(n, 31),
-        "rank_deficient": pm.mixed_random(n, 3, 32),
-        "full_rank": pm.mixed_random(n, None, 33),
-        "product": pm.validate_density(
-            pm.tensor(pm.mixed_random(d_a, None, 34), pm.mixed_random(d_b, 2, 35))
-        ),
-    }
-
-
 RAY_CASES = [
     (d_a, d_b, kind)
     for d_a, d_b in [(3, 3), (3, 4), (4, 3), (6, 6)]
@@ -295,7 +285,7 @@ class TestRayDensities:
 
     @pytest.mark.parametrize("d_a, d_b, kind", RAY_CASES)
     def test_matches_the_kernels_on_projected_rows(self, d_a, d_b, kind):
-        sigma, dims = _split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
+        sigma, dims = split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
         joint, marg_a, marg_b = self.kernels(sigma, dims)
         rng = np.random.default_rng(12)
         xs, ys = gaussian_rows(rng, 500, d_a), gaussian_rows(rng, 500, d_b)
@@ -309,7 +299,7 @@ class TestRayDensities:
 
     @pytest.mark.parametrize("d_a, d_b, kind", RAY_CASES)
     def test_integrand_columns_are_the_ray_densities(self, d_a, d_b, kind):
-        sigma, dims = _split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
+        sigma, dims = split_states(d_a, d_b)[kind], pm.BipartiteDims(d_a, d_b)
         batch, _ = infomeasures._mi_integrand(sigma, dims, infomeasures.MI_COLUMNS)
         rng = np.random.default_rng(13)
         xs, ys = gaussian_rows(rng, 500, d_a), gaussian_rows(rng, 500, d_b)
@@ -317,7 +307,8 @@ class TestRayDensities:
         out = batch(xs, ys)
         projective, gaussian = out[:, 0], out[:, 1]
         controls = out[:, 3:].T
-        for got, want in zip(controls, (w, w * w, a, a * a, b, b * b)):
+        for got, want in zip(controls, (w, w * w, w * w * w, a, a * a, a * a * a,
+                                        b, b * b, b * b * b), strict=True):
             assert np.array_equal(got, want)
         np.testing.assert_allclose(gaussian * dims.joint, projective * r2, rtol=1e-14, atol=0)
 
