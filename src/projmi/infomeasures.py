@@ -12,14 +12,15 @@ integral. Projective and Gaussian are reported side by side with their
 measured ratio rather than reconciled; see MIReport.
 
 Each estimate is the regression (control-variate) estimate of its column on
-nine controls of the same draw, the joint density W, W^2, W^3 and the
+ten controls of the same draw, the joint density W, W^2, W^3, W^4 and the
 marginal densities a, a^2, a^3, b, b^2, b^3, whose means over the invariant
 measures are exact (``_control_means``): E[(xx^dag)^(x)k] is the sum of the
 k! permutation operators over d(d+1)...(d+k-1) (Harrow 2013, "The church of
 the symmetric subspace"), so E[W^k] is a sum over the orbits of S_k x S_k
-of traces of sigma, its powers, its partial traces and its partial
-transpose. The paper's integrands are unchanged, only the way their sample
-mean is formed (``montecarlo._estimate``).
+(43 of them for k = 4) of traces of products of sigma, its partial traces,
+its partial transpose and its realignments. The paper's integrands are
+unchanged, only the way their sample mean is formed
+(``montecarlo._estimate``).
 
 A block of the MI integrand makes one pass over each factor's raw draw: it
 builds the real coordinates of x x^dag and y y^dag once
@@ -218,10 +219,11 @@ def check_marginal_support(
 MI_COLUMNS = ("projective", "gaussian", "decomposition")
 
 
-def _power_sums(m: np.ndarray) -> tuple[float, float, float]:
-    """tr m, tr m^2 and tr m^3 of a Hermitian matrix m, by matrix products."""
+def _power_sums(m: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
+    """tr m^j for j = 1..4 of a Hermitian matrix m, by matrix products, and m^2."""
     square = m @ m
-    return float(np.trace(m).real), float(np.vdot(m, m).real), float(np.vdot(square, m).real)
+    return (float(np.trace(m).real), float(np.vdot(m, m).real), float(np.vdot(square, m).real),
+            float(np.vdot(square, square).real)), square
 
 
 def _ray_moments(factor: np.ndarray) -> tuple[float, float, float]:
@@ -231,15 +233,15 @@ def _ray_moments(factor: np.ndarray) -> tuple[float, float, float]:
     and d(d+1)(d+2), for the power sums p_j = tr s^j = tr G^j of the r x r
     Gram G = F^dag F."""
     d = len(factor)
-    p1, p2, p3 = _power_sums(factor.conj().T @ factor)
+    (p1, p2, p3, _), _ = _power_sums(factor.conj().T @ factor)
     return (p1 / d, (p1 * p1 + p2) / (d * (d + 1)),
             (p1 ** 3 + 3 * p1 * p2 + 2 * p3) / (d * (d + 1) * (d + 2)))
 
 
 def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
-    """Exact means of the controls W, W^2, W^3, a, a^2, a^3, b, b^2, b^3
-    over the product of invariant measures, from the matrices the kernels
-    evaluate.
+    """Exact means of the controls W, W^2, W^3, a, a^2, a^3, b, b^2, b^3,
+    W^4 over the product of invariant measures, from the matrices the
+    kernels evaluate.
 
     For a unit ray x of C^d, E[(xx^dag)^(x)k] = sum_pi P_pi / (d)_k, the
     permutations P_pi of the k tensor factors over the rising factorial
@@ -248,32 +250,64 @@ def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
     (``_ray_moments``). For the joint density W of sigma, (d_a)_k (d_b)_k
     E[W^k] sums tr[sigma^(x)k (P_pi (x) P_tau)] over pairs of permutations
     of the A and B factors, one term per orbit of S_k x S_k under
-    simultaneous conjugation times its size, with rho_A, rho_B the partial
-    traces of sigma and T_B the partial transpose:
-      k = 1: tr sigma;
-      k = 2: (tr sigma)^2 + tr sigma^2 + tr rho_A^2 + tr rho_B^2;
-      k = 3: (tr sigma)^3 + 3 tr sigma (tr rho_A^2 + tr rho_B^2 + tr sigma^2)
-             + 2 (tr rho_A^3 + tr rho_B^3 + tr sigma^3)
-             + 6 tr[sigma (rho_A (x) rho_B)] + 6 tr[tr_B(sigma^2) rho_A]
-             + 6 tr[tr_A(sigma^2) rho_B] + 2 tr[(sigma^T_B)^3].
+    simultaneous conjugation times its size. A term factors over the
+    connected parts of its pair, so with c_k the sum over the connected
+    orbits of S_k x S_k and tr sigma = c_1,
+      (d_a)_2 (d_b)_2 E[W^2] = c_1^2 + c_2,
+      (d_a)_3 (d_b)_3 E[W^3] = c_1^3 + 3 c_1 c_2 + c_3,
+      (d_a)_4 (d_b)_4 E[W^4] = c_1^4 + 6 c_1^2 c_2 + 3 c_2^2 + 4 c_1 c_3 + c_4,
+    one term per way to split k copies into connected parts (11 orbits
+    for k = 3, 43 for k = 4). With rho_A, rho_B the partial traces of sigma,
+    T_B the partial transpose and Gamma = sigma^T_B:
+      c_2 = tr sigma^2 + tr rho_A^2 + tr rho_B^2;
+      c_3 = 2 (tr rho_A^3 + tr rho_B^3 + tr sigma^3 + tr Gamma^3)
+            + 6 tr[sigma (rho_A (x) rho_B)] + 6 tr[tr_B(sigma^2) rho_A]
+            + 6 tr[tr_A(sigma^2) rho_B];
+    c_4 has 26 orbits, each a trace over four copies of sigma joined in
+    pairs. With M = sigma (1 (x) rho_B) + sigma (rho_A (x) 1), Q =
+    (Gamma^2)^T_B, Y_A = tr_B[sigma^2 + sigma (1 (x) rho_B)], Y_B =
+    tr_A[sigma^2 + sigma (rho_A (x) 1)] and the realignments g_(jl),(j'l') =
+    sum_ik sigma_(ij),(kl) conj(sigma_(ij'),(kl')) and h_(ik),(i'k') =
+    sum_jl conj(sigma_(ij),(kl)) sigma_(i'j),(k'l):
+      c_4 = 6 (tr rho_A^4 + tr rho_B^4 + tr sigma^4 + tr Gamma^4
+               + sum g_(jl),(j'l') g_(lj),(l'j') + sum g_(jl),(j'l') g_(ll'),(jj')
+               + sum h_(ik),(i'k') h_(kk'),(ii'))
+            + 12 (tr M^2 + tr Y_A^2 + tr Y_B^2)
+            + 24 (tr[(sigma^2 + Q) M] + tr[sigma^2 Q] + tr[Y_A rho_A^2]
+                  + tr[Y_B rho_B^2] + tr[sigma (1 (x) rho_B) sigma (rho_A (x) 1)]),
+    the cross terms of the squares and products being orbits of their own.
+    So the means cost a few matrix products of the joint dimension.
     """
     d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
+    n = d_a * d_b
     s = joint._factor.conj() @ joint._factor.T
-    p1, p2, p3 = _power_sums(s)
-    t, t2 = s.reshape(d_a, d_b, d_a, d_b), (s @ s).reshape(d_a, d_b, d_a, d_b)
+    (p1, p2, p3, p4), s2 = _power_sums(s)
+    t, t2 = s.reshape(d_a, d_b, d_a, d_b), s2.reshape(d_a, d_b, d_a, d_b)
     rho_a, rho_b = np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
-    _, a2, a3 = _power_sums(rho_a)
-    _, b2, b3 = _power_sums(rho_b)
-    mixed = float((np.einsum("ijkl,ki,lj->", t, rho_a, rho_b)
-                   + np.vdot(np.einsum("ijkj->ik", t2), rho_a)
-                   + np.vdot(np.einsum("ijil->jl", t2), rho_b)).real)
-    _, _, pt3 = _power_sums(t.transpose(0, 3, 2, 1).reshape(s.shape))
-    rising_a, rising_b = d_a * (d_a + 1), d_b * (d_b + 1)
-    means = [p1 / (d_a * d_b),
-             (p1 * p1 + p2 + a2 + b2) / (rising_a * rising_b),
-             (p1 ** 3 + 3 * p1 * (a2 + b2 + p2) + 2 * (a3 + b3 + p3) + 6 * mixed + 2 * pt3)
-             / (rising_a * (d_a + 2) * rising_b * (d_b + 2))]
-    return (*means, *_ray_moments(marg_a._factor), *_ray_moments(marg_b._factor))
+    (_, a2, a3, a4), rho_a2 = _power_sums(rho_a)
+    (_, b2, b3, b4), rho_b2 = _power_sums(rho_b)
+    (_, _, pt3, pt4), gamma2 = _power_sums(t.transpose(0, 3, 2, 1).reshape(n, n))
+    q = gamma2.reshape(t.shape).transpose(0, 3, 2, 1).reshape(n, n)  # (Gamma^2)^T_B
+    m_b = (s.reshape(n * d_a, d_b) @ rho_b).reshape(n, n)  # sigma (1 (x) rho_B)
+    m_a = (rho_a.T @ s.reshape(n, d_a, d_b)).reshape(n, n)  # sigma (rho_A (x) 1)
+    y_a = np.einsum("ijkj->ik", t2 + m_b.reshape(t.shape))
+    y_b = np.einsum("ijil->jl", t2 + m_a.reshape(t.shape))
+    real = t.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    g = (real.T @ real.conj()).reshape((d_b,) * 4)
+    h = (real.conj() @ real.T).reshape((d_a,) * 4)
+    m = m_a + m_b
+    c2 = p2 + a2 + b2
+    c3 = 2 * (a3 + b3 + p3 + pt3) + 6 * float(
+        (np.vdot(y_a, rho_a) + np.vdot(np.einsum("ijil->jl", t2), rho_b)).real)
+    c4 = float((6 * (a4 + b4 + p4 + pt4 + np.einsum("ijkl,jilk->", g, g)
+                     + np.einsum("ijkl,jlik->", g, g) + np.einsum("ijkl,jlik->", h, h))
+                + 12 * (np.einsum("ij,ji->", m, m) + np.vdot(y_a, y_a) + np.vdot(y_b, y_b))
+                + 24 * (np.vdot(s2 + q, m) + np.vdot(s2, q) + np.vdot(y_a, rho_a2)
+                        + np.vdot(y_b, rho_b2) + np.vdot(m_b, m_a))).real)
+    rising = np.cumprod([(d_a + k) * (d_b + k) for k in range(4)])  # (d_a)_k (d_b)_k
+    w1, w2, w3, w4 = (p1, p1 * p1 + c2, p1 ** 3 + 3 * p1 * c2 + c3,
+                      p1 ** 4 + 6 * p1 * p1 * c2 + 3 * c2 * c2 + 4 * p1 * c3 + c4) / rising
+    return (w1, w2, w3, *_ray_moments(marg_a._factor), *_ray_moments(marg_b._factor), w4)
 
 
 def _ray_densities(joint: JointDensity, marg_a: LiouvilleDensity, marg_b: LiouvilleDensity,
@@ -308,10 +342,10 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     the joint support) and e the -w log2 w term of the joint density W and the
     marginal Liouville densities W_A, W_B. The densities come from one feature
     pass per factor (``_ray_densities``) and each of their log2 is taken once
-    for every column. Nine control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
-    W_B, W_B^2, W_B^3 follow, whatever ``columns`` holds, the cubes formed as
-    square times density; their exact means are sums over the orbits of
-    S_k x S_k (``_control_means``). ``start``,
+    for every column. Ten control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
+    W_B, W_B^2, W_B^3, W^4 follow, whatever ``columns`` holds, the cubes
+    formed as square times density and W^4 as the square of W^2; their exact
+    means are sums over the orbits of S_k x S_k (``_control_means``). ``start``,
     the absolute index of the batch's first sample, numbers the sample a
     MarginalZeroAnomaly names; the engine passes it, so batches may run in
     any order."""
@@ -338,13 +372,14 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
         }
         # Filled by rows and returned transposed, so the engine's (columns,
         # rows) view of it is contiguous and needs no copy.
-        out = np.empty((len(columns) + 9, len(w)))
+        out = np.empty((len(columns) + 10, len(w)))
         for row, name in zip(out, columns):
             row[...] = column[name]()
         controls = out[len(columns):]
         controls[0], controls[3], controls[6] = w, a, b
-        np.square(controls[::3], out=controls[1::3])
-        np.multiply(controls[1::3], controls[::3], out=controls[2::3])
+        np.square(controls[:9:3], out=controls[1:9:3])
+        np.multiply(controls[1:9:3], controls[:9:3], out=controls[2:9:3])
+        np.square(controls[1], out=controls[9])
         return out.T
 
     return batch, _control_means(joint, marg_a, marg_b)
@@ -355,7 +390,7 @@ def mi_estimates(
 ) -> tuple[MCEstimate, ...]:
     """The MI estimates named by ``columns`` (from MI_COLUMNS, tagged "mi_<name>"),
     in order, from one engine run at ``cfg``; each equals its standalone
-    estimator. Each is the regression estimate on the integrand's nine
+    estimator. Each is the regression estimate on the integrand's ten
     controls (see ``_mi_integrand`` and ``montecarlo._estimate``)."""
     batch, means = _mi_integrand(sigma, dims, columns)
     estimates = gaussian_pair_expectation(

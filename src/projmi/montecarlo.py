@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ from .states import DensityMatrix, rank_cutoff, spectral, validate_density
 BLOCK = 4096
 
 # Fewest samples at which a regression estimate uses its controls. Below it
-# the residual SE is overconfident on heavy-tailed integrands: with the nine
-# MI controls, over 400 seeds of the projective MI of maxent 3x3, pull sd 6.2
-# and 1.17 at 20 and 100 samples (sample mean: 1.15 and 0.96). At 4096 it is
-# 1.001 on maxent 3x3, 0.967 on maxent 5x5 and 0.956 for mixed 9x9
+# the residual SE is overconfident on heavy-tailed integrands: with the ten
+# MI controls, over 400 seeds of the projective MI of maxent 3x3, pull sd 20
+# and 1.36 at 20 and 100 samples (sample mean: 1.15 and 0.96). At 4096 it is
+# 0.987 on maxent 3x3, 1.055 on maxent 5x5 and 0.956 for mixed 9x9
 # projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
 
@@ -123,6 +124,26 @@ def _takes_start(batch_f) -> bool:
         return False
 
 
+def _sole_reference(a) -> bool:
+    """Whether the array ``a`` is writeable and held only by its caller's
+    one name, and the array it views, if any, only by ``a``: then nothing
+    else can read it, and the caller may write over it.
+
+    Reference counts are compared with those of a fresh view held the same
+    way, so the answer does not depend on how the interpreter counts the
+    references of a call; numpy runs the same test before it reuses a
+    temporary's memory.
+    """
+    if type(a) is not np.ndarray or not a.flags.writeable:
+        return False
+    probe = np.empty(1)[:]
+    if sys.getrefcount(a) != sys.getrefcount(probe) + 1:  # + the caller's name
+        return False
+    owner, probe_owner = a.base, probe.base
+    return owner is None or (type(owner) is np.ndarray and owner.base is None
+                             and sys.getrefcount(owner) == sys.getrefcount(probe_owner))
+
+
 def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, reduce):
     """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
     columns, sums)``, for the block of m samples from ``start``.
@@ -132,13 +153,19 @@ def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, red
     ``batch_f(*factors)``, passing ``start=start`` if it ``takes_start``, to
     one value, or one row of values, per sample.
     ``columns`` holds the values column by column, contiguously, and
-    ``sums`` their sums. A non-finite value is an error naming its absolute
-    sample index.
+    ``sums`` their sums. ``reduce`` may write over ``columns``: they are the
+    integrand's own array only when nothing else holds it, and a copy when
+    ``batch_f`` may still hold the array it returned, such as a view of its
+    input or of a caller's array. A non-finite value is an error naming its
+    absolute sample index.
     """
     factors = [_gaussian_rows(rng, m, n) for n in dims]
-    values = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
-    values = np.asarray(values, dtype=float)
+    result = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
+    private = _sole_reference(result)  # asked before values and columns refer to it
+    values = np.asarray(result, dtype=float)
     columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
+    if not private and columns.base is not None:  # not a copy made above
+        columns = columns.copy()
     sums = columns.sum(axis=1)
     # A non-finite value makes its column's sum non-finite: only then look for it.
     if not np.isfinite(sums).all():
@@ -201,8 +228,8 @@ def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
 
     def moments(factors, columns, sums):
         m = columns.shape[1]
-        centred = columns - (sums / m)[:, None]
-        f, c = centred[:len(centred) - p], centred[len(centred) - p:]
+        columns -= (sums / m)[:, None]
+        f, c = columns[:len(columns) - p], columns[len(columns) - p:]
         m2 = np.einsum("ij,ij->i", f, f)
         if not p:
             return sums, m2, [m], None, None

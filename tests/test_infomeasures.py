@@ -1,5 +1,6 @@
 """Tests for the entropy and mutual-information estimators."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -342,9 +343,17 @@ class TestControlMeans:
         )
         # A constant control (a and b on maxent) matches to rounding only.
         rounding = 64 * np.finfo(float).eps
-        labels = [f"{q}^{k}" for q in "Wab" for k in (1, 2, 3)]
+        labels = [f"{q}^{k}" for q in "Wab" for k in (1, 2, 3)] + ["W^4"]
         for est, exact, label in zip(controls, means, labels, strict=True):
             assert abs(est.mean - exact) <= 4 * est.std_error + rounding * exact, label
+
+
+@functools.cache
+def contraction_path(subscripts: str, shape: tuple) -> list:
+    """einsum's pairwise contraction order for copies of one tensor of this
+    shape: a single loop over the 2k indices is slow at k = 4."""
+    operands = [np.empty(shape)] * (subscripts.count(",") + 1)
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
 
 
 def permutation_sum_moment(m: np.ndarray, d_a: int, d_b: int, k: int) -> float:
@@ -353,12 +362,13 @@ def permutation_sum_moment(m: np.ndarray, d_a: int, d_b: int, k: int) -> float:
     (d_a)_k (d_b)_k, one einsum per pair of permutations. d_b = 1 gives the
     moments of <x|m|x>."""
     t = m.reshape(d_a, d_b, d_a, d_b)
-    a, b = "abc"[:k], "def"[:k]
-    total = sum(
-        np.einsum(",".join(a[i] + b[i] + a[pi[i]] + b[tau[i]] for i in range(k)) + "->",
-                  *[t] * k)
-        for pi in itertools.permutations(range(k)) for tau in itertools.permutations(range(k))
-    )
+    a, b = "abcd"[:k], "efgh"[:k]
+    total = 0.0
+    for pi in itertools.permutations(range(k)):
+        for tau in itertools.permutations(range(k)):
+            subscripts = ",".join(a[i] + b[i] + a[pi[i]] + b[tau[i]] for i in range(k)) + "->"
+            total += np.einsum(subscripts, *[t] * k,
+                               optimize=contraction_path(subscripts, t.shape))
     return float(total.real) / float(np.prod([(d_a + i) * (d_b + i) for i in range(k)]))
 
 
@@ -375,16 +385,17 @@ class TestExactMoments:
             sigma = pm.validate_density(sigma.matrix.conj())
         _, means = _mi_integrand(sigma, dims, ("projective",))
         rho_a, rho_b = (pm.partial_trace(sigma, dims, side).matrix for side in "AB")
-        densities = [(sigma.matrix, d_a, d_b), (rho_a, d_a, 1), (rho_b, d_b, 1)]
-        for j, (label, k) in enumerate(itertools.product("Wab", (1, 2, 3))):
-            want = permutation_sum_moment(*densities[j // 3], k)
-            assert means[j] == pytest.approx(want, rel=1e-12, abs=0.0), f"E[{label}^{k}]"
+        densities = {"W": (sigma.matrix, d_a, d_b), "a": (rho_a, d_a, 1), "b": (rho_b, d_b, 1)}
+        moments = [*itertools.product("Wab", (1, 2, 3)), ("W", 4)]
+        for mean, (label, k) in zip(means, moments, strict=True):
+            want = permutation_sum_moment(*densities[label], k)
+            assert mean == pytest.approx(want, rel=1e-12, abs=0.0), f"E[{label}^{k}]"
 
 
 class TestControlFit:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_maxent_regresses_on_the_joint_controls_only(self, monkeypatch, d):
-        # a = b = 1/d on every unit row: only W, W^2 and W^3 vary.
+        # a = b = 1/d on every unit row: only W, W^2, W^3 and W^4 vary.
         fits = []
         original = montecarlo._control_fit
 
@@ -396,8 +407,8 @@ class TestControlFit:
         pm.mi_estimates(pm.maximally_entangled(d), pm.BipartiteDims(d, d),
                         pm.SamplerConfig(0, 5000))
         (fit,) = fits
-        assert fit.kept.tolist() == [0, 1, 2]
-        assert fit.rank == 3
+        assert fit.kept.tolist() == [0, 1, 2, 9]
+        assert fit.rank == 4
 
     @pytest.mark.parametrize("n, fitted", [(montecarlo.MIN_CONTROL_SAMPLES - 1, False),
                                            (montecarlo.MIN_CONTROL_SAMPLES, True)])

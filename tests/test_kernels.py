@@ -308,7 +308,7 @@ class TestRayDensities:
         projective, gaussian = out[:, 0], out[:, 1]
         controls = out[:, 3:].T
         for got, want in zip(controls, (w, w * w, w * w * w, a, a * a, a * a * a,
-                                        b, b * b, b * b * b), strict=True):
+                                        b, b * b, b * b * b, (w * w) * (w * w)), strict=True):
             assert np.array_equal(got, want)
         np.testing.assert_allclose(gaussian * dims.joint, projective * r2, rtol=1e-14, atol=0)
 
