@@ -47,6 +47,7 @@ from .montecarlo import (
     integrate_mu,
     integrate_nu,
     integrate_product_nu,
+    pair_rows,
     reconstruct_density_matrix,
     substream,
 )

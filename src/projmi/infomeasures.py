@@ -22,12 +22,17 @@ its partial transpose and its realignments. The paper's integrands are
 unchanged, only the way their sample mean is formed
 (``montecarlo._estimate``).
 
-A block of the MI integrand makes one pass over each factor's raw draw: it
-builds the real coordinates of x x^dag and y y^dag once
-(``projective.hermitian_features``) and reads the squared radii, both
-marginal densities and the Gram-form joint density from them, without
-normalising a row (``_ray_densities``); log2 of W, a and b is then taken
-once for every requested column.
+The estimators run on the engine's crossed design: each drawn x row is
+paired with GROUP y rows of its group and each y row with GROUP x rows
+(``montecarlo``), and the standard error is the design's, which counts the
+correlation of pairs that share a row. A block of the MI integrand makes one
+pass over each factor's raw rows: it builds the real coordinates of x x^dag
+and y y^dag once (``projective.hermitian_features``) and reads the squared
+radii and both marginal densities from them once per row, and the Gram-form
+joint density of each group's GROUP x GROUP pairs from one batched product
+(``_ray_densities``), without normalising a row. log2 of W is then taken
+once per pair and log2 of a and b once per row, and the terms of x alone or
+y alone are laid out by pair rather than recomputed.
 """
 
 from __future__ import annotations
@@ -39,12 +44,15 @@ import numpy as np
 from .constants import DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E
 from .errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from .montecarlo import (
+    GROUP,
     MCEstimate,
     SamplerConfig,
     gaussian_expectation,
     gaussian_pair_expectation,
+    group_pairs,
     integrate_mu,
     integrate_product_nu,  # unused here; bound for perfbench's tracer
+    pair_index,
 )
 from .projective import (
     LiouvilleDensity,
@@ -105,6 +113,18 @@ class JointDensity:
         """Density per column pair of the ``hermitian_features`` of rows x,
         y of any norm: <x (x) y| sigma |x (x) y>, clamped at 0."""
         w = np.einsum("fm,fm->m", self._gram @ features_x, features_y)
+        return np.maximum(w, 0.0, out=w)
+
+    def eval_groups(self, features_x: np.ndarray, features_y: np.ndarray) -> np.ndarray:
+        """Density of every pair of each group of GROUP rows x and GROUP rows
+        y, in the engine's group order (``montecarlo.group_pairs``), from
+        the ``hermitian_features`` of rows of any norm, clamped at 0: one
+        GEMM S g_x per row, then one (GROUP, d_b^2) x (d_b^2, GROUP) product
+        per group, batched."""
+        f = len(features_y)
+        table = np.matmul((self._gram @ features_x).reshape(f, -1, GROUP).transpose(1, 2, 0),
+                          features_y.reshape(f, -1, GROUP).transpose(1, 0, 2))
+        w = group_pairs(table)
         return np.maximum(w, 0.0, out=w)
 
 
@@ -312,12 +332,15 @@ def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
 
 def _ray_densities(joint: JointDensity, marg_a: LiouvilleDensity, marg_b: LiouvilleDensity,
                    xs: np.ndarray, ys: np.ndarray):
-    """W, a and b on the rays of the raw rows xs, ys, and r_x^2 r_y^2.
+    """W on the rays of each pair of the raw rows xs, ys in the engine's
+    group order, a on those of xs, b on those of ys, and r_x^2 r_y^2 per
+    pair.
 
     One ``hermitian_features`` pass per factor serves everything: the
     squared radius r^2 is the sum of the d diagonal features, each marginal
     applies its real coordinates to its factor's features over r^2, and the
-    joint density is the Gram form over r_x^2 r_y^2. No row is normalised.
+    joint density is the Gram form of each group's pairs over r_x^2 r_y^2.
+    No row is normalised.
     """
     d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
     features_x, features_y = hermitian_features(xs), hermitian_features(ys)
@@ -326,27 +349,30 @@ def _ray_densities(joint: JointDensity, marg_a: LiouvilleDensity, marg_b: Liouvi
     a /= rx2
     b = marg_b.eval_features(features_y)
     b /= ry2
-    r2 = rx2 * ry2
-    w = joint.eval_features(features_x, features_y)
+    ix, iy = pair_index(len(xs))
+    r2 = rx2[ix] * ry2[iy]
+    w = joint.eval_groups(features_x, features_y)
     w /= r2
     return w, a, b, r2
 
 
 def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
-    """Batch integrand of the MI estimators on raw Gaussian rows x = r_x x^,
-    y = r_y y^, and the exact means of its controls.
+    """Batch integrand of the MI estimators on the crossed pairs of raw
+    Gaussian rows x = r_x x^, y = r_y y^, and the exact means of its
+    controls.
 
     It has one column per name in ``columns``: d_a d_b L (projective),
     r_x^2 r_y^2 L (gaussian) and d_a e_A + d_b e_B - d_a d_b e_J
     (decomposition), for L = W log2(W / (W_A W_B)) on the unit rows (zero off
     the joint support) and e the -w log2 w term of the joint density W and the
     marginal Liouville densities W_A, W_B. The densities come from one feature
-    pass per factor (``_ray_densities``) and each of their log2 is taken once
-    for every column. Ten control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
+    pass per factor (``_ray_densities``); log2 W is taken once per pair, and
+    log2 W_A, log2 W_B and the terms of one factor alone once per row, then
+    laid out by pair. Ten control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
     W_B, W_B^2, W_B^3, W^4 follow, whatever ``columns`` holds, the cubes
     formed as square times density and W^4 as the square of W^2; their exact
     means are sums over the orbits of S_k x S_k (``_control_means``). ``start``,
-    the absolute index of the batch's first sample, numbers the sample a
+    the absolute index of the batch's first pair, numbers the pair a
     MarginalZeroAnomaly names; the engine passes it, so batches may run in
     any order."""
     if not columns or not set(columns) <= set(MI_COLUMNS):
@@ -358,8 +384,27 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
 
     def batch(xs, ys, start=0):
         w, a, b, r2 = _ray_densities(joint, marg_a, marg_b, xs, ys)
-        mask = check_marginal_support(w, a, b, offset=start)
-        log_w, log_a, log_b = _support_log2(w), _support_log2(a), _support_log2(b)
+        ix, iy = pair_index(len(xs))
+        # Filled by rows and returned transposed, so the engine's (columns,
+        # rows) view of it is contiguous and needs no copy.
+        out = np.empty((len(columns) + 10, len(w)))
+        controls = out[len(columns):]
+        # Per row: the density, its square and cube, its log2 and its
+        # decomposition term, then laid out by pair.
+        sides = []
+        for first, density, dim, index in ((3, a, dims.dim_a, ix), (6, b, dims.dim_b, iy)):
+            per_row = np.empty((5, len(density)))
+            per_row[0] = density
+            np.square(density, out=per_row[1])
+            np.multiply(per_row[1], density, out=per_row[2])
+            per_row[3] = _support_log2(density)
+            np.multiply(dim * density, per_row[3], out=per_row[4])
+            # mode="clip" writes into ``out`` directly; the default buffers it.
+            np.take(per_row[:3], index, axis=1, out=controls[first:first + 3], mode="clip")
+            sides.append(np.take(per_row[3:], index, axis=1))
+        (log_a, term_a), (log_b, term_b) = sides
+        mask = check_marginal_support(w, controls[3], controls[6], offset=start)
+        log_w = _support_log2(w)
         if log_ratio:
             term = w * (log_w - log_a - log_b)
             if not mask.all():
@@ -367,18 +412,13 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
         column = {
             "projective": lambda: dims.joint * term,
             "gaussian": lambda: r2 * term,
-            "decomposition": lambda: (dims.joint * w * log_w - dims.dim_a * a * log_a
-                                      - dims.dim_b * b * log_b),
+            "decomposition": lambda: dims.joint * w * log_w - term_a - term_b,
         }
-        # Filled by rows and returned transposed, so the engine's (columns,
-        # rows) view of it is contiguous and needs no copy.
-        out = np.empty((len(columns) + 10, len(w)))
         for row, name in zip(out, columns):
             row[...] = column[name]()
-        controls = out[len(columns):]
-        controls[0], controls[3], controls[6] = w, a, b
-        np.square(controls[:9:3], out=controls[1:9:3])
-        np.multiply(controls[1:9:3], controls[:9:3], out=controls[2:9:3])
+        controls[0] = w
+        np.square(w, out=controls[1])
+        np.multiply(controls[1], w, out=controls[2])
         np.square(controls[1], out=controls[9])
         return out.T
 

@@ -3,23 +3,45 @@
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
 projecting them to the unit sphere. A run of n samples is cut into blocks
-of BLOCK rows (the last one shorter), and block k draws from the stream of
-(seed, k): one (m, 2n) array of standard normals per factor, x first, read
-as m complex rows of width n without a copy (consecutive normals are the
-real and imaginary parts of one entry). Blocks are drawn, evaluated,
-checked and reduced to their own moments on worker threads, one per CPU,
-and the caller merges those moments in ascending k. An estimate and its
-standard error therefore depend on (seed, n_samples) only, not on the
-number of CPUs, and reproduce bit for bit.
+of BLOCK samples (the last one shorter), and block k draws from the stream of
+(seed, k): one (rows, 2 width) array of standard normals per factor, x first,
+read as complex rows without a copy (consecutive normals are the real and
+imaginary parts of one entry). A one-factor block draws one row per sample.
 
-Threads pay only for calls that release the global interpreter lock for
-long. On a 2-CPU host, two threads ran the draw 1.4-2.0x and a BLAS GEMM
-about 2.0x as fast as one, but a 4096-element ``np.multiply`` 0.4-0.5x as
-fast per call, so an integrand should make few passes over its block.
+A two-factor block is a crossed design. Its rows form groups of GROUP x rows
+and GROUP y rows, and each group yields all GROUP^2 pairs of its rows, so a
+drawn row serves GROUP pairs and a block of BLOCK pairs draws BLOCK / GROUP
+rows per factor. Pair GROUP s + i of group g joins x row GROUP g + i with
+y row GROUP g + (i + s) mod GROUP (``pair_index``): any prefix of a group
+pairs each row at most once more than any other, and the last block's last
+group is cut after its last sample. ``n_samples`` counts pairs, and a sample
+index, such as the ``start`` an integrand may take or the index an error
+names, is the index of a pair in this order.
+
+The pairs of a group share rows, so their values correlate, and the
+standard error follows the design. With e the values of a column centred on
+their mean, R_i the sum of e over the pairs of x row i and C_j over those of
+y row j, the variance of a sum over pairs is estimated by
+D = sum_i R_i^2 + sum_j C_j^2 - sum e^2: by the Hoeffding decomposition of
+the integrand into x-only, y-only and interaction terms, D is unbiased for
+the variance of the sum, sum_i n_i^2 s_A^2 + sum_j n_j^2 s_B^2 + N s_AB^2,
+in any design in which no pair repeats (Hoeffding 1948; Owen 2007, "The
+pigeonhole bootstrap"). When each row serves one pair, D is the sum of
+squared deviations, the iid case. As sum_i n_i^2 >= N, the variance of the
+sum is never below that of N independent pairs, so D is taken no smaller
+than the sum of squared deviations; this keeps the SE of a short run of an
+integrand with little main effect from falling to 0.
+
+Blocks are drawn, evaluated, checked and reduced to their own moments on
+worker threads, one per CPU, and the caller merges those moments in
+ascending k. An estimate and its standard error therefore depend on
+(seed, n_samples) only, not on the number of CPUs, and reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import os
 import sys
@@ -37,16 +59,26 @@ from .errors import (
 from .native import single_blas_thread
 from .states import DensityMatrix, rank_cutoff, spectral, validate_density
 
-# Rows per block. Fixed, so that the stream and the standard error depend on
-# (seed, n_samples) only; larger blocks raise the peak memory of wide kernels.
-BLOCK = 4096
+# Samples per block. Fixed, so that the stream and the standard error depend
+# on (seed, n_samples) only; larger blocks raise the peak memory of wide kernels.
+BLOCK = 8192
+
+# Rows per factor in one crossed group of a two-factor block.
+GROUP = 4
+
+# Pair GROUP s + i of a group joins its x row i and its y row (i + s) mod
+# GROUP, indexed [s, i]. _INCIDENCE marks the x row, then the y row, of
+# each pair of a group.
+_SHIFT, _X_ROW = np.indices((GROUP, GROUP))
+_Y_ROW = (_X_ROW + _SHIFT) % GROUP
+_INCIDENCE = np.concatenate([np.eye(GROUP)[rows.ravel()] for rows in (_X_ROW, _Y_ROW)], axis=1)
 
 # Fewest samples at which a regression estimate uses its controls. Below it
 # the residual SE is overconfident on heavy-tailed integrands: with the ten
-# MI controls, over 400 seeds of the projective MI of maxent 3x3, pull sd 20
-# and 1.36 at 20 and 100 samples (sample mean: 1.15 and 0.96). At 4096 it is
-# 0.987 on maxent 3x3, 1.055 on maxent 5x5 and 0.956 for mixed 9x9
-# projective against decomposition (300 seed pairs).
+# MI controls on crossed pairs, over 400 seeds of the projective MI of maxent
+# 3x3, pull sd 48 and 1.47 at 20 and 100 samples (pull mean 7.1 and 0.10).
+# At this threshold it is 0.958 on maxent 3x3, 1.015 on maxent 5x5 and 1.063
+# for mixed 9x9 projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
 
 
@@ -102,6 +134,51 @@ def project_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, r2
 
 
+@functools.lru_cache(maxsize=4)
+def pair_index(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x row and the y row of each pair of a two-factor block of ``rows``
+    rows per factor, a multiple of GROUP, in group order (read-only)."""
+    first = np.arange(0, rows, GROUP)[:, None, None]
+    index = tuple((first + rows_of_pair).ravel() for rows_of_pair in (_X_ROW, _Y_ROW))
+    for array in index:
+        array.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=4)
+def _design_counts(m: int) -> tuple[np.ndarray, int]:
+    """The pairs each x row, then each y row, serves in a two-factor block
+    of m pairs, and sum n_i^2 + sum n_j^2 - m (read-only)."""
+    counts = _margins(np.ones((1, m)), GROUP * -(-m // GROUP**2))[0]
+    counts.flags.writeable = False
+    return counts, int(counts @ counts) - m
+
+
+def pair_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x rows and the y rows of a block's pairs, in group order: an
+    integrand evaluated pair by pair is ``f(*pair_rows(xs, ys))``."""
+    ix, iy = pair_index(len(xs))
+    return xs[ix], ys[iy]
+
+
+def group_pairs(table: np.ndarray) -> np.ndarray:
+    """The values of a block's pairs in group order from the (groups, GROUP,
+    GROUP) table of each group's values indexed by x row, then y row."""
+    return table[:, _X_ROW, _Y_ROW].ravel()
+
+
+def _margins(e: np.ndarray, rows: int) -> np.ndarray:
+    """The sums of each row of the (k, m) pair values e over the pairs of
+    each x row and of each y row of a block of ``rows`` rows per factor, as
+    a (k, 2 rows) array: one product with _INCIDENCE per row of e, so a
+    row's sums do not depend on the others. A short last group is padded
+    with zeros."""
+    k, m = e.shape
+    if m < GROUP * rows:
+        e = np.concatenate((e, np.zeros((k, GROUP * rows - m))), axis=1)
+    return np.matmul(e.reshape(k, -1, GROUP**2), _INCIDENCE).reshape(k, 2 * rows)
+
+
 def _on_rays(batch_f):
     """``batch_f`` applied to the drawn rows after projecting them in place."""
     return lambda *factors: batch_f(*(project_rows(z)[0] for z in factors))
@@ -148,22 +225,30 @@ def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, red
     """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
     columns, sums)``, for the block of m samples from ``start``.
 
-    Draws one raw (m, n) complex Gaussian array per entry of ``dims`` from
-    ``rng``, in order (``_gaussian_rows``), and evaluates
-    ``batch_f(*factors)``, passing ``start=start`` if it ``takes_start``, to
-    one value, or one row of values, per sample.
-    ``columns`` holds the values column by column, contiguously, and
-    ``sums`` their sums. ``reduce`` may write over ``columns``: they are the
-    integrand's own array only when nothing else holds it, and a copy when
-    ``batch_f`` may still hold the array it returned, such as a view of its
-    input or of a caller's array. A non-finite value is an error naming its
-    absolute sample index.
+    Draws one raw complex Gaussian array per entry of ``dims`` from ``rng``,
+    in order (``_gaussian_rows``): m rows for one factor, and for two the
+    rows of the block's groups, GROUP per group started. It evaluates
+    ``batch_f(*factors)``, passing ``start=start`` if it ``takes_start``,
+    to one value, or one row of values, per sample: for two factors, per
+    pair of each group in group order (``pair_index``), of which the first
+    m are kept. ``columns`` holds the kept values column by column,
+    contiguously, and ``sums`` their sums. ``reduce`` may write over
+    ``columns``: they are the integrand's own array only when nothing else
+    holds it, and a copy when ``batch_f`` may still hold the array it
+    returned, such as a view of its input or of a caller's array. A
+    non-finite value is an error naming its absolute sample index.
     """
-    factors = [_gaussian_rows(rng, m, n) for n in dims]
+    rows = m if len(dims) == 1 else GROUP * -(-m // GROUP**2)
+    factors = [_gaussian_rows(rng, rows, n) for n in dims]
     result = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
     private = _sole_reference(result)  # asked before values and columns refer to it
     values = np.asarray(result, dtype=float)
-    columns = np.ascontiguousarray(values.reshape(len(values), -1).T)
+    evaluated = rows if len(dims) == 1 else GROUP * rows
+    if len(values) != evaluated:
+        raise BadParameter(f"the integrand returned {len(values)} values for a block of "
+                           f"{evaluated} samples")
+    values = values[:m]
+    columns = np.ascontiguousarray(values.reshape(m, -1).T)
     if not private and columns.base is not None:  # not a copy made above
         columns = columns.copy()
     sums = columns.sum(axis=1)
@@ -179,7 +264,7 @@ def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, red
 def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
     """``_block``'s result for every block of the run, in block order.
 
-    Block k has min(BLOCK, rows left) samples and draws from the substream
+    Block k has min(BLOCK, samples left) samples and draws from the substream
     of (cfg.seed, k). The calling thread makes the substreams in block order
     and hands the blocks to a pool of one worker per CPU, at most one per
     block, that lives for this run only. OpenBLAS runs single-threaded for
@@ -210,50 +295,75 @@ def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
             raise
 
 
+def _comoments(e: np.ndarray, p: int) -> tuple:
+    """Sums of products of the rows of e, the last p of them controls: the
+    squares of each other row, the (p, p) products of the controls and the
+    (k, p) products of each other row with them. Each row's calls have the
+    same shape whatever the number of rows, so its results do not depend on
+    the others."""
+    f, c = e[:len(e) - p], e[len(e) - p:]
+    # numpy sends c @ c.T to syrk, about 4x slower than gemm at a block's size
+    return (np.einsum("ij,ij->i", f, f), c.copy() @ c.T,
+            np.array([c @ row for row in f]).reshape(len(f), p))
+
+
+def _merged(blocks, deltas: np.ndarray, ell: np.ndarray, q: np.ndarray, k: int) -> tuple:
+    """The ``_comoments`` of a run from those of its blocks, each about its
+    own means, by D = sum_b D_b + ell_b delta_b^T + delta_b ell_b^T
+    + q_b delta_b delta_b^T, delta_b the block's means less the run's. The
+    sums are taken in block order: sum() would pair the terms."""
+    m2s, ccs, fcs = (np.array(terms) for terms in zip(*blocks))
+    h = ell + q[:, None] * deltas
+    df, dc, lf, lc, hf, hc = (a[:, s] for a in (deltas, ell, h) for s in (np.s_[:k], np.s_[k:]))
+    return (np.cumsum(m2s + lf * df + df * hf, axis=0)[-1],
+            np.cumsum(ccs + lc[:, :, None] * dc[:, None, :] + dc[:, :, None] * hc[:, None, :],
+                      axis=0)[-1],
+            np.cumsum(fcs + lf[:, :, None] * dc[:, None, :] + df[:, :, None] * hc[:, None, :],
+                      axis=0)[-1])
+
+
 def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
     """Moments of the integrand's columns, pooled over the blocks of a run.
 
     Returns whether the integrand returns rows of values, the sample means of
-    its columns, the sums of squared deviations of all but the last p
-    (control) columns and, for p > 0, the (p, p) co-moment matrix of the
-    controls and the (k, p) co-moments of each of the other k columns with
-    them. Each block's moments are taken about its own means, on the worker
-    that evaluated it, and merged in block order as in Chan, Golub and
-    LeVeque (1979), cross terms included: M = sum_b M_b + sum_b m_b (u_b -
-    u)(u_b - u)^T for block means u_b and run means u. Centring within a
-    block avoids the cancellation of sum(v^2) - m u^2. Every call that forms
-    one column's moments has the same shape whatever the number of columns,
-    so a column's moments do not depend on the others.
+    its columns, and two sets of ``_comoments`` of the columns' deviations
+    from those means, the last p columns being controls: the sums of
+    products over samples, and the design co-moments, D(u, v) =
+    sum_i R_i(u) R_i(v) + sum_j C_j(u) C_j(v) - sum e(u) e(v) with the row
+    sums R and C of the module docstring. A one-factor run has R = C = e, so
+    its design co-moments are its sums of products.
+
+    Each block's moments are taken about its own means, on the worker that
+    evaluated it, and merged in block order (``_merged``). Centring within a
+    block avoids the cancellation of sum(v^2) - m u^2. For the sums of
+    products, the merge adds the cross terms m_b delta_b delta_b^T of Chan,
+    Golub and LeVeque (1979); for the design, whose rows serve n_i pairs,
+    q_b = sum_i n_i^2 + sum_j n_j^2 - m_b and ell_b = sum_i n_i R_i +
+    sum_j n_j C_j, which vanishes when every row serves as many pairs.
     """
 
     def moments(factors, columns, sums):
         m = columns.shape[1]
         columns -= (sums / m)[:, None]
-        f, c = columns[:len(columns) - p], columns[len(columns) - p:]
-        m2 = np.einsum("ij,ij->i", f, f)
-        if not p:
-            return sums, m2, [m], None, None
-        # numpy sends c @ c.T to syrk, about 4x slower than gemm at (6, 4096)
-        return sums, m2, [m], c.copy() @ c.T, [c @ column for column in f]
+        pair = _comoments(columns, p)
+        if len(dims) == 1:
+            return sums, m, pair, pair, np.zeros(len(columns)), m
+        margins, (counts, q) = _margins(columns, len(factors[0])), _design_counts(m)
+        design = tuple(d - e for d, e in zip(_comoments(margins, p), pair))
+        return sums, m, pair, design, np.einsum("ij,j->i", margins, counts), q
 
     blocks = _map_blocks(cfg, dims, batch_f, moments)
     rows = blocks[-1][0]
-    sums, m2s, sizes, ccs, fcs = zip(*(block for _, block in blocks))
-    # Reduce over blocks in block order: sum() would pair the terms.
-    sums, m2s, sizes = np.array(sums), np.array(m2s), np.array(sizes)
+    sums, sizes, pairs, designs, ells, qs = zip(*(block for _, block in blocks))
+    sums, sizes = np.array(sums), np.array(sizes)
     mean = np.cumsum(sums, axis=0)[-1] / cfg.n_samples
-    deltas = sums / sizes - mean
     k = len(mean) - p
     if k < 1:
         raise BadParameter(f"the integrand returned {len(mean)} columns, "
                            f"no more than its {p} controls")
-    df, dc = deltas[:, :k], sizes * deltas[:, k:]
-    m2 = np.cumsum(m2s + sizes * df * df, axis=0)[-1]
-    if not p:
-        return rows, mean, m2, None, None
-    cc = np.cumsum(np.array(ccs) + dc[:, :, None] * deltas[:, None, k:], axis=0)[-1]
-    fc = np.cumsum(np.array(fcs) + df[:, :, None] * dc[:, None, :], axis=0)[-1]
-    return rows, mean, m2, cc, fc
+    deltas = sums / sizes[:, None] - mean
+    return (rows, mean, _merged(pairs, deltas, np.zeros_like(deltas), sizes, k),
+            _merged(designs, deltas, np.array(ells), np.array(qs), k))
 
 
 @dataclass(frozen=True)
@@ -298,36 +408,42 @@ def _estimate(cfg: SamplerConfig, dims: tuple, batch_f, method: str, control_mea
 
     An integrand of m reals gives one MCEstimate, one of (m, k) arrays a
     tuple of k from the same draws. Without controls the estimate is the
-    sample mean and its standard error the pooled per-sample standard
-    deviation over sqrt(n_samples), var = (sum_b M2_b + sum_b m_b (mean_b -
-    mean)^2) / (n - 1) (see ``_pooled``).
+    sample mean, and its squared standard error the column's design
+    co-moment D (see ``_pooled``), or its sum of squared deviations if that
+    is larger, over (n - 1) n: for one factor the pooled per-sample variance
+    over n.
 
     With p ``control_means`` mu_C the integrand returns k + p columns, the
     last p of them controls C of those exact means, and each value column f
     gets the regression (control-variate) estimate f_bar - beta^T (C_bar -
-    mu_C), beta the least-squares coefficients of f on C (Lavenberg and Welch
-    1981; Glasserman 2004, section 4.1). Its squared standard error is the
-    residual sum of squares over (n - 1 - p_used) n, clamped at 0, where
+    mu_C), beta the least-squares coefficients of f on C over the samples
+    (Lavenberg and Welch 1981; Glasserman 2004, section 4.1). Its squared
+    standard error is the design co-moment of the residual f - beta^T C,
+    (1, -beta)^T D (1, -beta), or the residual's sum of squares if that is
+    larger, over (n - 1 - p_used) n, clamped at 0, where
     p_used is the rank of the fit (``_control_fit``). A run of fewer than
     MIN_CONTROL_SAMPLES samples, or of n <= p + 1, uses no controls. A
     column's estimate depends on its own values and the controls only.
     """
     p = len(control_means)
-    rows, mean, m2, cc, fc = _pooled(cfg, dims, batch_f, p)
+    rows, mean, sums, design = _pooled(cfg, dims, batch_f, p)
     n, dof = cfg.n_samples, cfg.n_samples - 1
     mean, control_mean = mean[:len(mean) - p], mean[len(mean) - p:]
     if p and n >= max(MIN_CONTROL_SAMPLES, p + 2):
-        fit = _control_fit(control_mean, cc, n)
+        fit = _control_fit(control_mean, sums[1], n)
         dof -= fit.rank
-        gap = (control_mean - np.asarray(control_means, dtype=float))[fit.kept]
-        for j, cross in enumerate(fc):
-            scaled = fit.scale * cross[fit.kept]
-            beta_scaled = fit.inverse @ scaled
-            mean[j] -= (fit.scale * beta_scaled) @ gap
-            m2[j] = max(m2[j] - scaled @ beta_scaled, 0.0)
+        kept = fit.kept
+        gap = (control_mean - np.asarray(control_means, dtype=float))[kept]
+        for j, cross in enumerate(sums[2]):
+            beta = fit.scale * (fit.inverse @ (fit.scale * cross[kept]))
+            mean[j] -= beta @ gap
+            for m2, cc, fc in (sums, design):  # (1, -beta)^T M (1, -beta)
+                m2[j] += beta @ cc[np.ix_(kept, kept)] @ beta - 2.0 * (fc[j, kept] @ beta)
+    # The variance of a sum over the crossed pairs is at least that of as
+    # many independent pairs: sum_i n_i^2 >= sum_i n_i.
     estimates = tuple(
-        MCEstimate(float(mu), float(np.sqrt(v / dof / n)), n, cfg.seed, method)
-        for mu, v in zip(mean, m2)
+        MCEstimate(float(mu), float(np.sqrt(max(v, s, 0.0) / dof / n)), n, cfg.seed, method)
+        for mu, v, s in zip(mean, design[0], sums[0])
     )
     return estimates if rows else estimates[0]
 
@@ -347,8 +463,13 @@ def integrate_mu(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
 
 
 def integrate_product_nu(n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
-    """Integral of ``batch_f(xs, ys)`` over independent invariant directions
-    of two factors (unit rows of widths n_a and n_b)."""
+    """Integral over independent invariant directions of two factors.
+
+    ``batch_f(xs, ys)`` maps a block's unit rows of widths n_a and n_b, GROUP
+    per group, to one real per pair of each group, in group order: for
+    GROUP * g rows, GROUP^2 * g values (see ``pair_index`` and
+    ``pair_rows``).
+    """
     return _estimate(cfg, (n_a, n_b), _on_rays(batch_f), "product_nu")
 
 
@@ -361,8 +482,9 @@ def gaussian_pair_expectation(
     n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f, control_means=()
 ):
     """Expectation of ``batch_f(xs, ys)`` over independent raw Gaussian vectors,
-    per column; the last len(control_means) columns are controls of those
-    exact means (see ``_estimate``), and the estimates are of the others."""
+    per column, on the crossed pairs of ``integrate_product_nu``; the last
+    len(control_means) columns are controls of those exact means (see
+    ``_estimate``), and the estimates are of the others."""
     return _estimate(cfg, (n_a, n_b), batch_f, "gaussian_pair", control_means)
 
 

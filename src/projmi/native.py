@@ -3,30 +3,25 @@ C allocator.
 
 Two costs of the Monte Carlo loop sit below Python.
 
-BLAS threads. The integrands make small GEMMs per batch: 4096 rows against
-a factor of a few dozen columns. OpenBLAS splits a GEMM of that size over
-every CPU, which gains little and makes the call wait on its slowest
-thread, while the idle workers spin between calls and keep a second CPU
-busy for the whole run. On a 2-CPU host with the other CPU loaded, the
-full-rank 6x6 joint kernel took 8.3 ms per batch on two BLAS threads and
-5.4 ms on one (idle: 4.7 and 5.8 ms). ``single_blas_thread()`` runs a block
-with OpenBLAS at one thread and then restores the previous count. The
-engine holds it for a whole run, whose blocks run on worker threads, one per
-CPU: the count is process-wide, so every worker's BLAS calls run on one
-thread and the parallelism is the engine's, one block per CPU. The command
-line runs each command inside it, which also covers the eigendecompositions
-of set-up.
+BLAS threads. The integrands make small GEMMs per block: a block's rows
+against a factor of a few dozen columns. OpenBLAS splits a GEMM of that
+size over every CPU, which gains little and makes the call wait on its
+slowest thread, while the idle workers spin between calls and keep a second
+CPU busy for the whole run. ``single_blas_thread()`` runs a block with
+OpenBLAS at one thread and then restores the previous count. The engine
+holds it for a whole run, whose blocks run on worker threads, one per CPU:
+the count is process-wide, so every worker's BLAS calls run on one thread
+and the parallelism is the engine's, one block per CPU. The command line
+runs each command inside it, which also covers the eigendecompositions of
+set-up.
 
 Page faults. glibc hands a freed block back to the kernel when it was
 mapped on its own or leaves enough free memory at the top of the heap, and
 its dynamic thresholds grow only up to the size of the blocks already
-freed. A batch's arrays (2.4 MB for the 4096 x 36 complex rows of the 6x6
-joint kernel) cross those thresholds again and again, so every batch
-faulted its arrays back in: 137,000 minor faults and 0.36 s of system time
-in a 1.32 s pair of ``mi`` calls on a 6x6 mixed state at 2.5e5 samples.
+freed. A block's arrays, megabytes for the wide joint kernels, cross those
+thresholds again and again, so every block would fault its arrays back in.
 ``keep_freed_memory()`` fixes the thresholds at the largest values the
-dynamic rule reaches (mmap above 32 MiB, trim above 64 MiB), after which
-the same pair made 5 faults and took 1.09 s.
+dynamic rule reaches (mmap above 32 MiB, trim above 64 MiB).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from projmi import montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
-from projmi.montecarlo import BLOCK
+from projmi.montecarlo import BLOCK, GROUP
 from projmi.projective import LiouvilleDensity, hermitian_features
 
 from helpers import agree_within, random_point, random_product_state, split_states
@@ -272,7 +272,7 @@ class TestEntropyDecomposition:
             assert agree_within(a, b)
 
     def test_one_engine_run(self, monkeypatch):
-        # 10_000 samples are three blocks, each drawn from one substream.
+        # 10_000 samples are two blocks, each drawn from one substream.
         calls = []
         original = montecarlo.substream
 
@@ -282,7 +282,7 @@ class TestEntropyDecomposition:
 
         monkeypatch.setattr(montecarlo, "substream", counted)
         pm.entropy_decomposition_mi(pm.mixed_random(9, 9, 7), DIMS33, pm.SamplerConfig(3, 10_000))
-        assert calls == [0, 1, 2]
+        assert calls == [0, 1]
 
 
 class TestMiEstimates:
@@ -598,10 +598,11 @@ class TestMarginalSupportGuard:
 
     def test_run_names_the_absolute_sample(self, monkeypatch):
         # Marginal A (the 9 features of width-3 rows) vanishes at row 4 of
-        # the second block. Blocks run on worker threads in any order, so the
-        # block is recognised by its rows: block k draws its x rows first
+        # the second block: x row 0 of its group 1, whose first pair is the
+        # block's pair GROUP^2. Blocks run on worker threads in any order, so
+        # the block is recognised by its rows: block k draws its x rows first
         # from substream (seed, k).
-        x = pm.substream(1, 1).standard_normal((BLOCK, 2 * 3)).view(complex)[4]
+        x = pm.substream(1, 1).standard_normal((BLOCK // GROUP, 2 * 3)).view(complex)[4]
         row = hermitian_features(x[None, :])[:, 0]
         original = LiouvilleDensity.eval_features
 
@@ -613,8 +614,8 @@ class TestMarginalSupportGuard:
 
         monkeypatch.setattr(LiouvilleDensity, "eval_features", patched)
         sigma, dims = pm.mixed_random(12, 12, 7), pm.BipartiteDims(3, 4)
-        with pytest.raises(MarginalZeroAnomaly, match="sample 4100$"):
-            pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 8192))
+        with pytest.raises(MarginalZeroAnomaly, match=f"sample {BLOCK + GROUP**2}$"):
+            pm.classical_like_mi_projective(sigma, dims, pm.SamplerConfig(1, 2 * BLOCK))
 
     def test_zero_joint_passes(self):
         mask = check_marginal_support(

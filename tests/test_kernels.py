@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import projmi as pm
 from projmi import infomeasures
 from projmi.errors import DimensionMismatch, NotHermitian
-from projmi.montecarlo import project_rows
+from projmi.montecarlo import pair_index, pair_rows, project_rows
 from projmi.projective import quadratic_form
 
 from helpers import split_states
@@ -273,7 +273,8 @@ RAY_CASES = [
 
 class TestRayDensities:
     """The MI integrand reads W, a, b and r_x^2 r_y^2 from one feature pass
-    over the raw rows; the per-kernel path normalises the rows first."""
+    over the raw rows, W and r_x^2 r_y^2 for each crossed pair in group
+    order; the per-kernel path normalises the rows first."""
 
     @staticmethod
     def kernels(sigma, dims):
@@ -292,10 +293,12 @@ class TestRayDensities:
         w, a, b, r2 = infomeasures._ray_densities(joint, marg_a, marg_b, xs, ys)
         units_x, rx2 = project_rows(xs.copy())
         units_y, ry2 = project_rows(ys.copy())
-        np.testing.assert_allclose(w, joint.eval_batch(units_x, units_y), rtol=0, atol=1e-14)
+        ix, iy = pair_index(len(xs))
+        np.testing.assert_allclose(w, joint.eval_batch(*pair_rows(units_x, units_y)),
+                                   rtol=0, atol=1e-14)
         np.testing.assert_allclose(a, marg_a.eval_batch(units_x), rtol=0, atol=1e-14)
         np.testing.assert_allclose(b, marg_b.eval_batch(units_y), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(r2, rx2 * ry2, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(r2, rx2[ix] * ry2[iy], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d_a, d_b, kind", RAY_CASES)
     def test_integrand_columns_are_the_ray_densities(self, d_a, d_b, kind):
@@ -304,6 +307,8 @@ class TestRayDensities:
         rng = np.random.default_rng(13)
         xs, ys = gaussian_rows(rng, 500, d_a), gaussian_rows(rng, 500, d_b)
         w, a, b, r2 = infomeasures._ray_densities(*self.kernels(sigma, dims), xs, ys)
+        ix, iy = pair_index(len(xs))
+        a, b = a[ix], b[iy]
         out = batch(xs, ys)
         projective, gaussian = out[:, 0], out[:, 1]
         controls = out[:, 3:].T

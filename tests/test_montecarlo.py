@@ -15,14 +15,15 @@ from projmi.errors import (
     NonFiniteSample,
     ReconstructionOutOfTolerance,
 )
-from projmi.montecarlo import BLOCK
+from projmi.montecarlo import BLOCK, GROUP, pair_index, pair_rows
 from projmi.projective import LiouvilleDensity
 
 from helpers import random_hermitian
 
 
 def ones(*factors):
-    return np.ones(len(factors[0]))
+    """One per sample: per row of one factor, per crossed pair of two."""
+    return np.ones(len(factors[0]) * (GROUP if len(factors) == 2 else 1))
 
 
 class TestSamplerConfig:
@@ -77,16 +78,18 @@ class TestGaussianSample:
         def batch(xs, ys, start):
             with lock:
                 seen[start] = xs.copy(), ys.copy()
-            return np.ones(len(xs))
+            return np.ones(GROUP * len(xs))
 
+        # A block draws GROUP rows per factor for each group of GROUP^2
+        # pairs it starts; the last one starts 7 groups for its 100 pairs.
         n_samples = 2 * BLOCK + 100
         pm.gaussian_pair_expectation(3, 4, pm.SamplerConfig(9, n_samples), batch_f=batch)
         assert sorted(seen) == [0, BLOCK, 2 * BLOCK]
         for k, start in enumerate(sorted(seen)):
-            m = min(BLOCK, n_samples - start)
+            rows = (BLOCK // GROUP, BLOCK // GROUP, 7 * GROUP)[k]
             rng = pm.substream(9, k)
-            xs = rng.standard_normal((m, 6)).view(complex)
-            ys = rng.standard_normal((m, 8)).view(complex)
+            xs = rng.standard_normal((rows, 6)).view(complex)
+            ys = rng.standard_normal((rows, 8)).view(complex)
             assert np.array_equal(seen[start][0], xs)
             assert np.array_equal(seen[start][1], ys)
 
@@ -167,10 +170,10 @@ class TestColumns:
         rho = pm.liouville_density(pm.mixed_random(3, 3, 5))
 
         def first(xs, ys):
-            return rho.eval_batch(xs)
+            return rho.eval_batch(pair_rows(xs, ys)[0])
 
         def second(xs, ys):
-            return rho.eval_batch(ys) ** 2
+            return rho.eval_batch(pair_rows(xs, ys)[1]) ** 2
 
         # One block, three, and forty, where summing the block totals pairwise
         # instead of in block order would round differently for one column.
@@ -187,13 +190,13 @@ class TestColumns:
     def test_controls_need_a_value_column(self):
         with pytest.raises(BadParameter, match="no more than its 2 controls"):
             pm.gaussian_pair_expectation(
-                3, 3, pm.SamplerConfig(0, 100), batch_f=lambda xs, ys: np.ones((len(xs), 2)),
-                control_means=(1.0, 1.0),
+                3, 3, pm.SamplerConfig(0, 100),
+                batch_f=lambda xs, ys: np.ones((GROUP * len(xs), 2)), control_means=(1.0, 1.0),
             )
 
     def test_non_finite_names_the_row(self):
         def batch(xs, ys):
-            out = np.ones((len(xs), 2))
+            out = np.ones((GROUP * len(xs), 2))
             out[5, 1] = np.nan
             return out
 
@@ -287,7 +290,8 @@ class TestIntegrateProductNu:
         a = np.diag([1.0, 2.0, 3.0])
         b = np.diag([0.0, 1.0, 2.0, 3.0])
 
-        def batch(X, Y):
+        def batch(xs, ys):
+            X, Y = pair_rows(xs, ys)
             fa = np.einsum("bi,ij,bj->b", X.conj(), a, X).real
             fb = np.einsum("bi,ij,bj->b", Y.conj(), b, Y).real
             return fa * fb
@@ -299,9 +303,100 @@ class TestIntegrateProductNu:
     def test_maxent_joint_density_mass(self):
         joint = pm.joint_density_eval(pm.maximally_entangled(3), pm.BipartiteDims(3, 3))
         est = pm.integrate_product_nu(
-            3, 3, pm.SamplerConfig(4, 100_000), batch_f=joint.eval_batch
+            3, 3, pm.SamplerConfig(4, 100_000),
+            batch_f=lambda xs, ys: joint.eval_batch(*pair_rows(xs, ys)),
         )
         assert abs(est.mean - 1 / 9) <= 4 * est.std_error
+
+
+class TestPairDesign:
+    """Two-factor runs pair each drawn row with GROUP rows of the other factor,
+    and their standard error follows the crossed design."""
+
+    @staticmethod
+    def main_and_interaction(xs, ys):
+        """Columns |x_0|^2, |y_0|^2 and their centred product, whose means
+        over unit rows of C^3 and C^4 are 1/3, 1/4 and 0: an x-only, a
+        y-only and an interaction-only integrand."""
+        X, Y = pair_rows(xs, ys)
+        u, v = np.abs(X[:, 0]) ** 2, np.abs(Y[:, 0]) ** 2
+        return np.column_stack((u, v, (u - 1 / 3) * (v - 1 / 4)))
+
+    def test_pulls_have_unit_spread(self):
+        # Each x row serves GROUP pairs, so an SE that ignored the design
+        # would give the x-only column a pull sd near sqrt(GROUP) = 2.
+        exact = np.array([1 / 3, 1 / 4, 0.0])
+        pulls = np.array([
+            [(e.mean - mu) / e.std_error for e, mu in zip(pm.integrate_product_nu(
+                3, 4, pm.SamplerConfig(seed, 1000), batch_f=self.main_and_interaction), exact)]
+            for seed in range(400)
+        ])
+        assert np.all((0.9 <= pulls.std(axis=0)) & (pulls.std(axis=0) <= 1.1)), pulls.std(axis=0)
+        assert np.all(np.abs(pulls.mean(axis=0)) <= 0.15)
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_short_runs_have_a_positive_se(self, n):
+        for est in pm.integrate_product_nu(3, 4, pm.SamplerConfig(0, n),
+                                           batch_f=self.main_and_interaction):
+            assert np.isfinite(est.std_error) and est.std_error > 0.0
+
+    def test_standard_error_is_the_design_formula(self):
+        # Two blocks, the second a short last group: rows serve unequal
+        # numbers of pairs there, and the merge must count them. The SE is
+        # sqrt(D / (n - 1) / n), D = sum_i R_i^2 + sum_j C_j^2 - sum e^2,
+        # but D no smaller than sum e^2, its value for independent pairs.
+        n, seen = BLOCK + 100, {}
+
+        def batch(xs, ys, start):
+            seen[start] = self.main_and_interaction(xs, ys), len(xs)
+            return seen[start][0]
+
+        estimates = pm.gaussian_pair_expectation(3, 4, pm.SamplerConfig(5, n), batch_f=batch)
+        values = np.concatenate([seen[0][0], seen[BLOCK][0][:100]])
+        e = values - values.mean(axis=0)
+        design = 0.0
+        for start, (block, rows) in sorted(seen.items()):
+            ix, iy = pair_index(rows)
+            kept = min(BLOCK, n - start)
+            for index in (ix[:kept], iy[:kept]):
+                sums = np.zeros((rows, 3))
+                np.add.at(sums, index, e[start:start + kept])
+                design += (sums**2).sum(axis=0)
+        squares = (e**2).sum(axis=0)
+        design -= squares
+        assert design[0] > 2 * squares[0]  # each x row serves GROUP pairs
+        for est, mean, var in zip(estimates, values.mean(axis=0), np.maximum(design, squares)):
+            assert est.mean == pytest.approx(mean, rel=1e-12)
+            assert est.std_error == pytest.approx(np.sqrt(var / (n - 1) / n), rel=1e-10)
+
+    def test_no_pair_repeats_and_rows_serve_at_most_group_pairs(self):
+        rows = BLOCK // GROUP
+        ix, iy = pair_index(rows)
+        assert len(ix) == len(iy) == BLOCK
+        assert len(set(zip(ix.tolist(), iy.tolist()))) == BLOCK
+        assert np.bincount(ix).max() == np.bincount(iy).max() == GROUP
+        # Pairs of one group stay in it, and each prefix of a group is
+        # balanced: its rows serve numbers of pairs that differ by at most 1.
+        assert np.array_equal(ix // GROUP, np.arange(BLOCK) // GROUP**2)
+        assert np.array_equal(iy // GROUP, np.arange(BLOCK) // GROUP**2)
+        for size in range(1, GROUP**2 + 1):
+            for index in (ix[:size], iy[:size]):
+                counts = np.bincount(index, minlength=GROUP)
+                assert counts.max() - counts.min() <= 1
+
+    def test_pair_rows_follow_the_index(self):
+        rng = np.random.default_rng(0)
+        xs, ys = rng.standard_normal((8, 3)), rng.standard_normal((8, 4))
+        X, Y = pair_rows(xs, ys)
+        ix, iy = pair_index(8)
+        assert np.array_equal(X, xs[ix]) and np.array_equal(Y, ys[iy])
+        assert [(int(i), int(j)) for i, j in zip(ix[:8], iy[:8])] == [
+            (0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (2, 3), (3, 0)]
+
+    def test_wrong_value_count_is_rejected(self):
+        with pytest.raises(BadParameter, match="returned 100 values for a block of 400 samples"):
+            pm.integrate_product_nu(3, 3, pm.SamplerConfig(0, 400),
+                                    batch_f=lambda xs, ys: np.ones(len(xs)))
 
 
 class TestDeterminism:
@@ -352,7 +447,7 @@ class TestPooledStdError:
             assert est.std_error * np.sqrt(n_samples) == pytest.approx(exact_sd, rel=0.05)
 
     def test_pulls_of_five_block_runs_have_unit_spread(self):
-        # maxent 3x3 at 2e4 samples is five blocks; its projective MI is
+        # maxent 3x3 at 2e4 samples is three blocks; its projective MI is
         # log2 3 - (H_3 - 1) log2 e exactly.
         sigma, dims = pm.maximally_entangled(3), pm.BipartiteDims(3, 3)
         exact = np.log2(3) - (1 / 2 + 1 / 3) * LOG2_E
@@ -398,7 +493,7 @@ class TestStreamStability:
     """Fixed-seed estimates pinned to values recorded before the batch loops
     were merged into one engine. A change of draw order, seeding or blocking
     moves them by about one standard error; BLAS rounding by about 1e-16.
-    10_000 samples run two full blocks of 4096 and a remainder block. The
+    10_000 samples run one full block of 8192 and a remainder block. The
     standard errors were recorded again for the pooled per-sample SE, the
     decomposition entry for its one-run integrand, and the three MI entries
     for the control-variate estimate (each new mean within 4 old SE of the
@@ -408,27 +503,33 @@ class TestStreamStability:
     reconstruction's distance to its state 0.035, was 0.034). The three MI
     entries were recorded again when W^3, a^3 and b^3 joined the controls
     (each new mean within 2.02 old SE, each SE no larger), and again when
-    W^4 did (each new mean within 0.56 old SE, each SE no larger)."""
+    W^4 did (each new mean within 0.56 old SE, each SE no larger). Every
+    entry and the reconstruction were recorded again when blocks grew to
+    8192 samples and two-factor runs became crossed 4 x 4 groups (each new
+    mean within 2.54 old SE; the pair-by-pair integrands of
+    integrate_product_nu and gaussian_pair_expectation share rows within a
+    group, and their design SE is 1.58 and 1.67 times the old one; the
+    reconstruction's distance to its state 0.036)."""
 
     PINNED = {
-        "integrate_nu": (0.33373899632062287, 0.0013076470431278933),
-        "integrate_mu": (1.0085683450523548, 0.005196583793556628),
-        "integrate_product_nu": (0.08293345866218332, 0.0002622255437972489),
-        "gaussian_expectation": (2.025921293189907, 0.014965176864009104),
-        "gaussian_pair_expectation": (4.0007309465100285, 0.04085497471026073),
-        "classical_like_mi_projective": (0.38241316284290167, 0.00023606726467356604),
-        "classical_like_mi_gaussian": (1.5681158274539313, 0.04299074111890768),
-        "entropy_decomposition_mi": (0.3829160007971239, 0.00023734900392860292),
+        "integrate_nu": (0.3319404172456326, 0.0013074913680569844),
+        "integrate_mu": (1.0022572885107426, 0.005182342003271584),
+        "integrate_product_nu": (0.08359936313803819, 0.0004137696647349311),
+        "gaussian_expectation": (2.009134654914107, 0.01479581734808552),
+        "gaussian_pair_expectation": (3.941679504668055, 0.0681748091830399),
+        "classical_like_mi_projective": (0.3826901815421887, 0.0002339314607374936),
+        "classical_like_mi_gaussian": (1.556203447065526, 0.047234871879298014),
+        "entropy_decomposition_mi": (0.38271134090275266, 0.00024038408707816126),
     }
     RECONSTRUCTED_RE = [
-        [0.4096089010288392, 0.26929441648321384, -0.001408348119367562],
-        [0.26929441648321384, 0.36117565993633566, -0.10066578113833988],
-        [-0.001408348119367562, -0.10066578113833988, 0.2292154390348251],
+        [0.41338118646472366, 0.2753152023232311, 0.00471121953414935],
+        [0.2753152023232311, 0.3629765457178129, -0.09533059317438247],
+        [0.00471121953414935, -0.09533059317438247, 0.2236422678174634],
     ]
     RECONSTRUCTED_IM = [
-        [0.0, 0.015339842235295999, 0.10450545538156882],
-        [-0.015339842235295999, 0.0, 0.0023168049199630745],
-        [-0.10450545538156882, -0.0023168049199630745, 0.0],
+        [0.0, 0.007564973842947997, 0.10189521332350049],
+        [-0.007564973842947997, 0.0, 0.01632469933812273],
+        [-0.10189521332350049, -0.01632469933812273, 0.0],
     ]
 
     @staticmethod
@@ -446,13 +547,13 @@ class TestStreamStability:
             "integrate_nu": pm.integrate_nu(3, cfg(101), batch_f=rho3.eval_batch),
             "integrate_mu": pm.integrate_mu(4, cfg(102), batch_f=rho4.eval_batch),
             "integrate_product_nu": pm.integrate_product_nu(
-                3, 4, cfg(103), batch_f=joint34.eval_batch
+                3, 4, cfg(103), batch_f=lambda xs, ys: joint34.eval_batch(*pair_rows(xs, ys))
             ),
             "gaussian_expectation": pm.gaussian_expectation(
                 3, cfg(104), batch_f=rho3.eval_batch
             ),
             "gaussian_pair_expectation": pm.gaussian_pair_expectation(
-                3, 3, cfg(105), batch_f=joint.eval_batch
+                3, 3, cfg(105), batch_f=lambda xs, ys: joint.eval_batch(*pair_rows(xs, ys))
             ),
             "classical_like_mi_projective": pm.classical_like_mi_projective(
                 sigma, dims, cfg(107)
@@ -538,11 +639,11 @@ class TestWorkerCount:
         assert all(other == first for other in others)
 
     def test_non_finite_sample_names_the_first_block(self, monkeypatch):
-        # Every block fails at its row 5; block 0 fails last in time.
+        # Every block fails at its pair 5; block 0 fails last in time.
         def batch(xs, ys, start):
             if start == 0:
                 time.sleep(0.02)
-            out = np.ones(len(xs))
+            out = np.ones(GROUP * len(xs))
             out[5] = np.nan
             return out
 
@@ -555,7 +656,7 @@ class TestWorkerCount:
 
     def test_marginal_anomaly_names_the_first_block(self, monkeypatch):
         # Marginal A (the 9 features of width-3 rows) vanishes at row 4 of
-        # every block.
+        # every block: x row 0 of group 1, whose first pair is pair 16.
         original = LiouvilleDensity.eval_features
 
         def patched(self, features):
@@ -570,7 +671,7 @@ class TestWorkerCount:
             MarginalZeroAnomaly,
             lambda: pm.mi_estimates(sigma, dims, pm.SamplerConfig(2, 6 * BLOCK)),
         ))
-        assert first.endswith("vanishing marginal at sample 4")
+        assert first.endswith(f"vanishing marginal at sample {GROUP**2}")
         assert others == [first, first]
 
     @pytest.mark.parametrize("count", COUNTS)

@@ -99,7 +99,7 @@ def test_engine_evaluates_integrand_on_one_thread():
         seen.append(threads())
         return np.ones(len(X))
 
-    pm.integrate_nu(3, pm.SamplerConfig(seed=0, n_samples=9000), batch_f=batch)
+    pm.integrate_nu(3, pm.SamplerConfig(seed=0, n_samples=17_000), batch_f=batch)
     assert seen == [1, 1, 1]
     assert threads() == before
 

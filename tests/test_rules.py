@@ -2,7 +2,8 @@
 eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff.
 These tests pin the shared behaviour at every site that applies a rule, and
 guard against copies of the rules reappearing in other modules. Threads are
-started by the Monte Carlo engine only, and no module reads the environment."""
+started by the Monte Carlo engine only, no module reads the environment, and
+the block and group sizes of the engine are spelled BLOCK and GROUP."""
 
 import re
 from pathlib import Path
@@ -121,3 +122,24 @@ def test_confined_spellings(rule):
     assert re.search(pattern, example)
     found = {path.name for path in SRC.glob("*.py") if re.search(pattern, path.read_text())}
     assert found <= owners
+
+
+# The engine's block size (samples, and rows per factor of a two-factor
+# block, now and before blocks grew) and its group size, each with a line
+# that the pattern must catch. Only the lines that define a constant may
+# spell its number; MIN_CONTROL_SAMPLES is a sample threshold, not a size.
+SIZES = (r"\b(?:2048|4096|8192)\b|\b4 ?x ?4\b",
+         ("4096 rows against a factor", "a batch's 4096 x 36 complex rows", "crossed 4x4 groups"))
+DEFINITIONS = {"BLOCK = 8192", "GROUP = 4", "MIN_CONTROL_SAMPLES = 4096"}
+
+
+def test_block_and_group_sizes_are_spelled_by_name():
+    pattern, examples = SIZES
+    assert all(re.search(pattern, example) for example in examples)
+    found = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(pattern, line) and line.strip() not in DEFINITIONS
+    ]
+    assert found == []

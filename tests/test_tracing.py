@@ -52,10 +52,10 @@ def test_install_patches_and_uninstall_restores():
 
 
 def test_mi_report_is_one_engine_run(tracer):
-    # 10_000 samples run 3 batches; each checks the support once.
+    # 10_000 samples run 2 batches; each checks the support once.
     pm.mi_report(pm.maximally_entangled(3), pm.BipartiteDims(3, 3), pm.SamplerConfig(1, 10_000))
     calls = {}
     for layer, *_ in tracer.spans:
         calls[layer] = calls.get(layer, 0) + 1
     assert calls["montecarlo"] == 1
-    assert calls["substream"] == calls["integrand"] == calls["mask"] == 3
+    assert calls["substream"] == calls["integrand"] == calls["mask"] == 2
