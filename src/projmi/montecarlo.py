@@ -36,7 +36,10 @@ Blocks are drawn, evaluated, checked and reduced to their own moments on
 worker threads, one per CPU, and the caller merges those moments in
 ascending k. An estimate and its standard error therefore depend on
 (seed, n_samples) only, not on the number of CPUs, and reproduce bit for
-bit.
+bit. The reduction never writes into the values an integrand returns, so
+an integrand may return a view of its input or of an array it keeps. The
+first block in block order that raises ends the run with its error, once
+the blocks already running have finished; the others never start.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,26 +203,6 @@ def _takes_start(batch_f) -> bool:
         return False
 
 
-def _sole_reference(a) -> bool:
-    """Whether the array ``a`` is writeable and held only by its caller's
-    one name, and the array it views, if any, only by ``a``: then nothing
-    else can read it, and the caller may write over it.
-
-    Reference counts are compared with those of a fresh view held the same
-    way, so the answer does not depend on how the interpreter counts the
-    references of a call; numpy runs the same test before it reuses a
-    temporary's memory.
-    """
-    if type(a) is not np.ndarray or not a.flags.writeable:
-        return False
-    probe = np.empty(1)[:]
-    if sys.getrefcount(a) != sys.getrefcount(probe) + 1:  # + the caller's name
-        return False
-    owner, probe_owner = a.base, probe.base
-    return owner is None or (type(owner) is np.ndarray and owner.base is None
-                             and sys.getrefcount(owner) == sys.getrefcount(probe_owner))
-
-
 def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, reduce):
     """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
     columns, sums)``, for the block of m samples from ``start``.
@@ -232,16 +214,14 @@ def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, red
     to one value, or one row of values, per sample: for two factors, per
     pair of each group in group order (``pair_index``), of which the first
     m are kept. ``columns`` holds the kept values column by column,
-    contiguously, and ``sums`` their sums. ``reduce`` may write over
-    ``columns``: they are the integrand's own array only when nothing else
-    holds it, and a copy when ``batch_f`` may still hold the array it
-    returned, such as a view of its input or of a caller's array. A
-    non-finite value is an error naming its absolute sample index.
+    contiguously, and ``sums`` their sums. ``columns`` may be a view of the
+    array ``batch_f`` returned, which may be its input or a caller's array,
+    so ``reduce`` must not write into it. A non-finite value is an error
+    naming its absolute sample index.
     """
     rows = m if len(dims) == 1 else GROUP * -(-m // GROUP**2)
     factors = [_gaussian_rows(rng, rows, n) for n in dims]
     result = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
-    private = _sole_reference(result)  # asked before values and columns refer to it
     values = np.asarray(result, dtype=float)
     evaluated = rows if len(dims) == 1 else GROUP * rows
     if len(values) != evaluated:
@@ -249,8 +229,6 @@ def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, red
                            f"{evaluated} samples")
     values = values[:m]
     columns = np.ascontiguousarray(values.reshape(m, -1).T)
-    if not private and columns.base is not None:  # not a copy made above
-        columns = columns.copy()
     sums = columns.sum(axis=1)
     # A non-finite value makes its column's sum non-finite: only then look for it.
     if not np.isfinite(sums).all():
@@ -265,34 +243,30 @@ def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
     """``_block``'s result for every block of the run, in block order.
 
     Block k has min(BLOCK, samples left) samples and draws from the substream
-    of (cfg.seed, k). The calling thread makes the substreams in block order
-    and hands the blocks to a pool of one worker per CPU, at most one per
-    block, that lives for this run only. OpenBLAS runs single-threaded for
-    the whole run; the count is process-wide, so the workers inherit it. An
-    integrand with a ``start`` parameter is passed the absolute index of its
-    block's first sample. A block's result depends on its own rows only, so
-    the list is the same for any number of workers. The first block in block
-    order that raises stops the run with its error: the blocks not yet
-    started are cancelled, and the call returns once the running ones have
-    finished.
+    of (cfg.seed, k). ``Executor.map`` makes the substreams on the calling
+    thread, in block order, and hands the blocks to a pool of one worker per
+    CPU, at most one per block, that lives for this run only. OpenBLAS runs
+    single-threaded for the whole run; the count is process-wide, so the
+    workers inherit it. An integrand with a ``start`` parameter is passed the
+    absolute index of its block's first sample. A block's result depends on
+    its own rows only, so the list is the same for any number of workers.
+    The first block in block order that raises stops the run with its error:
+    the map cancels the blocks not yet started, and the pool's exit waits for
+    the running ones, so no block runs once the call has returned.
     """
     # Imported here: concurrent.futures takes about 8 ms to import.
     from concurrent.futures import ThreadPoolExecutor
 
     takes_start = _takes_start(batch_f)
     starts = range(0, cfg.n_samples, BLOCK)
+    rngs = (substream(cfg.seed, k) for k in range(len(starts)))
+
+    def block(rng, start):
+        m = min(BLOCK, cfg.n_samples - start)
+        return _block(dims, batch_f, takes_start, rng, start, m, reduce)
+
     with single_blas_thread(), ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
-        futures = []
-        try:
-            for k, start in enumerate(starts):
-                m = min(BLOCK, cfg.n_samples - start)
-                futures.append(pool.submit(_block, dims, batch_f, takes_start,
-                                           substream(cfg.seed, k), start, m, reduce))
-            return [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+        return list(pool.map(block, rngs, starts))
 
 
 def _comoments(e: np.ndarray, p: int) -> tuple:
@@ -335,21 +309,22 @@ def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
 
     Each block's moments are taken about its own means, on the worker that
     evaluated it, and merged in block order (``_merged``). Centring within a
-    block avoids the cancellation of sum(v^2) - m u^2. For the sums of
-    products, the merge adds the cross terms m_b delta_b delta_b^T of Chan,
-    Golub and LeVeque (1979); for the design, whose rows serve n_i pairs,
-    q_b = sum_i n_i^2 + sum_j n_j^2 - m_b and ell_b = sum_i n_i R_i +
-    sum_j n_j C_j, which vanishes when every row serves as many pairs.
+    block, into a new array rather than the integrand's values, avoids the
+    cancellation of sum(v^2) - m u^2. For the sums of products, the merge
+    adds the cross terms m_b delta_b delta_b^T of Chan, Golub and LeVeque
+    (1979); for the design, whose rows serve n_i pairs, q_b = sum_i n_i^2 +
+    sum_j n_j^2 - m_b and ell_b = sum_i n_i R_i + sum_j n_j C_j, which
+    vanishes when every row serves as many pairs.
     """
 
     def moments(factors, columns, sums):
         m = columns.shape[1]
-        columns -= (sums / m)[:, None]
-        pair = _comoments(columns, p)
+        e = columns - (sums / m)[:, None]
+        pair = _comoments(e, p)
         if len(dims) == 1:
-            return sums, m, pair, pair, np.zeros(len(columns)), m
-        margins, (counts, q) = _margins(columns, len(factors[0])), _design_counts(m)
-        design = tuple(d - e for d, e in zip(_comoments(margins, p), pair))
+            return sums, m, pair, pair, np.zeros(len(e)), m
+        margins, (counts, q) = _margins(e, len(factors[0])), _design_counts(m)
+        design = tuple(a - b for a, b in zip(_comoments(margins, p), pair))
         return sums, m, pair, design, np.einsum("ij,j->i", margins, counts), q
 
     blocks = _map_blocks(cfg, dims, batch_f, moments)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -641,10 +642,13 @@ class TestMethodTables:
 
 class TestEntryPoints:
     def test_python_dash_m_invocation(self):
+        # The child imports the projmi under test, installed or not.
+        src = str(Path(pm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "projmi", "entropy", "--state", "maxent:d=3",
              "--method", "von-neumann"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "von-neumann"

@@ -205,14 +205,8 @@ class TestColumns:
 
 
 class TestHeldValues:
-    """A block's moments are taken by centring its values in place, in the
-    integrand's own array only when nothing else holds it."""
-
-    @staticmethod
-    def block_address(batch_f):
-        """Where the columns a block hands its reduction live."""
-        return montecarlo._block((3,), batch_f, False, montecarlo.substream(0, 0), 0, 100,
-                                 lambda factors, columns, sums: columns.ctypes.data)[1]
+    """The reduction never writes into the values an integrand returns, so an
+    integrand may return a view of an array it keeps."""
 
     def test_a_callers_array_is_left_unchanged(self):
         held = np.linspace(0.0, 1.0, 2 * BLOCK)
@@ -228,30 +222,6 @@ class TestHeldValues:
         pm.gaussian_pair_expectation(3, 3, pm.SamplerConfig(0, BLOCK), control_means=(0.0,),
                                      batch_f=lambda xs, ys: held.T)
         assert np.array_equal(held, before)
-
-    def test_the_integrands_own_array_is_used_in_place(self):
-        made = []
-
-        def batch(xs):
-            out = np.ones((2, len(xs)))
-            made.append(out.ctypes.data)
-            return out.T
-
-        assert self.block_address(batch) == made[0]
-        held = np.ones((2, 100))
-        assert self.block_address(lambda xs: held.T) != held.ctypes.data
-
-    def test_only_an_array_nothing_else_holds_is_private(self):
-        fresh, view = np.empty(3), np.empty((3, 4)).T
-        assert montecarlo._sole_reference(fresh) and montecarlo._sole_reference(view)
-        held = np.empty(5)
-        part = held[:3]
-        assert not montecarlo._sole_reference(part)
-        assert not montecarlo._sole_reference(held)  # part views it
-        frozen = np.empty(3)
-        frozen.flags.writeable = False
-        assert not montecarlo._sole_reference(frozen)
-        assert not montecarlo._sole_reference([1.0, 2.0])
 
 
 class TestIntegrateMu:

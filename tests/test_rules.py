@@ -113,6 +113,10 @@ CONFINED = {
         {"montecarlo.py"},
     ),
     "environment read": (r"\benviron\b|getenv", 'os.environ.get("PROJMI_THREADS")', set()),
+    "reference count": (r"getrefcount", "sys.getrefcount(a) != sys.getrefcount(probe) + 1",
+                        set()),
+    "scipy import": (r"(?m)^\s*(?:from|import) scipy\b", "    from scipy import special",
+                     {"oracles.py"}),
 }
 
 
