@@ -24,8 +24,9 @@ unchanged, only the way their sample mean is formed
 
 The estimators run on the engine's crossed design: each drawn x row is
 paired with GROUP y rows of its group and each y row with GROUP x rows
-(``montecarlo``), and the standard error is the design's, which counts the
-correlation of pairs that share a row. A block of the MI integrand makes one
+(``montecarlo``), and the standard error and the control fit come from the
+totals of each group's pairs, which counts the correlation of pairs that
+share a row. A block of the MI integrand makes one
 pass over each factor's raw rows: it builds the real coordinates of x x^dag
 and y y^dag once (``projective.hermitian_features``) and reads the squared
 radii and both marginal densities from them once per row, and the Gram-form

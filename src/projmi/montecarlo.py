@@ -18,19 +18,15 @@ group is cut after its last sample. ``n_samples`` counts pairs, and a sample
 index, such as the ``start`` an integrand may take or the index an error
 names, is the index of a pair in this order.
 
-The pairs of a group share rows, so their values correlate, and the
-standard error follows the design. With e the values of a column centred on
-their mean, R_i the sum of e over the pairs of x row i and C_j over those of
-y row j, the variance of a sum over pairs is estimated by
-D = sum_i R_i^2 + sum_j C_j^2 - sum e^2: by the Hoeffding decomposition of
-the integrand into x-only, y-only and interaction terms, D is unbiased for
-the variance of the sum, sum_i n_i^2 s_A^2 + sum_j n_j^2 s_B^2 + N s_AB^2,
-in any design in which no pair repeats (Hoeffding 1948; Owen 2007, "The
-pigeonhole bootstrap"). When each row serves one pair, D is the sum of
-squared deviations, the iid case. As sum_i n_i^2 >= N, the variance of the
-sum is never below that of N independent pairs, so D is taken no smaller
-than the sum of squared deviations; this keeps the SE of a short run of an
-integrand with little main effect from falling to 0.
+The pairs of a group share rows, so their values correlate, but the groups
+are independent and identically distributed: the group is the sampling
+unit, as in cluster sampling (Cochran 1977, "Sampling Techniques", ch. 9),
+and a one-factor run is the same design with groups of one sample. Each
+column is reduced to its group totals T_g over the n_g samples of each
+group, and with N samples in G groups the squared standard error of the
+mean is G / (G - 1) sum_g e_g^2 / N^2, e_g = T_g - n_g mean: for groups of
+one, the per-sample variance over N. This prices any correlation between
+the pairs of a group, and a short last group needs no special case.
 
 Blocks are drawn, evaluated, checked and reduced to their own moments on
 worker threads, one per CPU, and the caller merges those moments in
@@ -69,18 +65,17 @@ BLOCK = 8192
 GROUP = 4
 
 # Pair GROUP s + i of a group joins its x row i and its y row (i + s) mod
-# GROUP, indexed [s, i]. _INCIDENCE marks the x row, then the y row, of
-# each pair of a group.
+# GROUP, indexed [s, i].
 _SHIFT, _X_ROW = np.indices((GROUP, GROUP))
 _Y_ROW = (_X_ROW + _SHIFT) % GROUP
-_INCIDENCE = np.concatenate([np.eye(GROUP)[rows.ravel()] for rows in (_X_ROW, _Y_ROW)], axis=1)
 
 # Fewest samples at which a regression estimate uses its controls. Below it
 # the residual SE is overconfident on heavy-tailed integrands: with the ten
-# MI controls on crossed pairs, over 400 seeds of the projective MI of maxent
-# 3x3, pull sd 48 and 1.47 at 20 and 100 samples (pull mean 7.1 and 0.10).
-# At this threshold it is 0.958 on maxent 3x3, 1.015 on maxent 5x5 and 1.063
-# for mixed 9x9 projective against decomposition (300 seed pairs).
+# MI controls fitted on crossed pairs, over 400 seeds of the projective MI of
+# maxent 3x3, pull sd 48 and 1.47 at 20 and 100 samples (pull mean 7.1 and
+# 0.10). At this threshold, 256 groups of pairs, the pull sd over 400 seeds
+# is 0.99-1.00 on each MI column of maxent 3x3 and 1.04-1.05 on maxent 5x5,
+# and 1.01 for mixed 9x9 projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
 
 
@@ -147,15 +142,6 @@ def pair_index(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
-@functools.lru_cache(maxsize=4)
-def _design_counts(m: int) -> tuple[np.ndarray, int]:
-    """The pairs each x row, then each y row, serves in a two-factor block
-    of m pairs, and sum n_i^2 + sum n_j^2 - m (read-only)."""
-    counts = _margins(np.ones((1, m)), GROUP * -(-m // GROUP**2))[0]
-    counts.flags.writeable = False
-    return counts, int(counts @ counts) - m
-
-
 def pair_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x rows and the y rows of a block's pairs, in group order: an
     integrand evaluated pair by pair is ``f(*pair_rows(xs, ys))``."""
@@ -167,18 +153,6 @@ def group_pairs(table: np.ndarray) -> np.ndarray:
     """The values of a block's pairs in group order from the (groups, GROUP,
     GROUP) table of each group's values indexed by x row, then y row."""
     return table[:, _X_ROW, _Y_ROW].ravel()
-
-
-def _margins(e: np.ndarray, rows: int) -> np.ndarray:
-    """The sums of each row of the (k, m) pair values e over the pairs of
-    each x row and of each y row of a block of ``rows`` rows per factor, as
-    a (k, 2 rows) array: one product with _INCIDENCE per row of e, so a
-    row's sums do not depend on the others. A short last group is padded
-    with zeros."""
-    k, m = e.shape
-    if m < GROUP * rows:
-        e = np.concatenate((e, np.zeros((k, GROUP * rows - m))), axis=1)
-    return np.matmul(e.reshape(k, -1, GROUP**2), _INCIDENCE).reshape(k, 2 * rows)
 
 
 def _on_rays(batch_f):
@@ -203,40 +177,55 @@ def _takes_start(batch_f) -> bool:
         return False
 
 
+def _group(dims: tuple) -> tuple[int, int]:
+    """The rows per factor and the samples of one group: a one-factor group
+    is one row, a two-factor group GROUP rows per factor and their GROUP^2
+    pairs."""
+    rows = GROUP ** (len(dims) - 1)
+    return rows, rows ** len(dims)
+
+
 def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, reduce):
     """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
-    columns, sums)``, for the block of m samples from ``start``.
+    columns, totals, sums)``, for the block of m samples from ``start``.
 
     Draws one raw complex Gaussian array per entry of ``dims`` from ``rng``,
-    in order (``_gaussian_rows``): m rows for one factor, and for two the
-    rows of the block's groups, GROUP per group started. It evaluates
-    ``batch_f(*factors)``, passing ``start=start`` if it ``takes_start``,
-    to one value, or one row of values, per sample: for two factors, per
-    pair of each group in group order (``pair_index``), of which the first
-    m are kept. ``columns`` holds the kept values column by column,
-    contiguously, and ``sums`` their sums. ``columns`` may be a view of the
-    array ``batch_f`` returned, which may be its input or a caller's array,
-    so ``reduce`` must not write into it. A non-finite value is an error
-    naming its absolute sample index.
+    in order (``_gaussian_rows``): the rows of the block's groups, one group
+    started per sample for one factor and per GROUP^2 pairs for two
+    (``_group``). It evaluates ``batch_f(*factors)``, passing ``start=start``
+    if it ``takes_start``, to one value, or one row of values, per sample:
+    for two factors, per pair of each group in group order (``pair_index``),
+    of which the first m are kept. ``columns`` holds the kept values column
+    by column, contiguously, ``totals`` their sums over the samples of each
+    group, the last group cut after the m-th sample, and ``sums`` the sums
+    of the columns. ``columns`` may be a view of the array ``batch_f``
+    returned, which may be its input or a caller's array, so ``reduce`` must
+    not write into it. A non-finite value is an error naming its absolute
+    sample index.
     """
-    rows = m if len(dims) == 1 else GROUP * -(-m // GROUP**2)
-    factors = [_gaussian_rows(rng, rows, n) for n in dims]
+    rows, size = _group(dims)
+    groups = -(-m // size)
+    factors = [_gaussian_rows(rng, rows * groups, n) for n in dims]
     result = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
     values = np.asarray(result, dtype=float)
-    evaluated = rows if len(dims) == 1 else GROUP * rows
-    if len(values) != evaluated:
+    if len(values) != size * groups:
         raise BadParameter(f"the integrand returned {len(values)} values for a block of "
-                           f"{evaluated} samples")
+                           f"{size * groups} samples")
     values = values[:m]
     columns = np.ascontiguousarray(values.reshape(m, -1).T)
-    sums = columns.sum(axis=1)
+    whole = columns
+    if m < size * groups:
+        whole = np.concatenate((columns, np.zeros((len(columns), size * groups - m))), axis=1)
+    # einsum, not a product with ones: BLAS rounds a row by how many sit beside it.
+    totals = np.einsum("kgi->kg", whole.reshape(len(columns), groups, size))
+    sums = totals.sum(axis=1)
     # A non-finite value makes its column's sum non-finite: only then look for it.
     if not np.isfinite(sums).all():
         finite = np.isfinite(values)
         if not finite.all():
             bad = start + int(np.argmin(finite)) // (values.size // m)
             raise NonFiniteSample(f"integrand returned a non-finite value at sample {bad}")
-    return values.ndim == 2, reduce(factors, columns, sums)
+    return values.ndim == 2, reduce(factors, columns, totals, sums)
 
 
 def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
@@ -296,40 +285,41 @@ def _merged(blocks, deltas: np.ndarray, ell: np.ndarray, q: np.ndarray, k: int) 
                       axis=0)[-1])
 
 
-def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
+def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int, floor: bool):
     """Moments of the integrand's columns, pooled over the blocks of a run.
 
     Returns whether the integrand returns rows of values, the sample means of
-    its columns, and two sets of ``_comoments`` of the columns' deviations
-    from those means, the last p columns being controls: the sums of
-    products over samples, and the design co-moments, D(u, v) =
-    sum_i R_i(u) R_i(v) + sum_j C_j(u) C_j(v) - sum e(u) e(v) with the row
-    sums R and C of the module docstring. A one-factor run has R = C = e, so
-    its design co-moments are its sums of products.
+    its columns, the ``_comoments`` of the deviations e_g = T_g - n_g mean of
+    their group totals (the module docstring), the last p columns being
+    controls, and, if ``floor``, the sums of squared deviations of the value
+    columns' samples from their means (else zeros).
 
     Each block's moments are taken about its own means, on the worker that
     evaluated it, and merged in block order (``_merged``). Centring within a
     block, into a new array rather than the integrand's values, avoids the
-    cancellation of sum(v^2) - m u^2. For the sums of products, the merge
-    adds the cross terms m_b delta_b delta_b^T of Chan, Golub and LeVeque
-    (1979); for the design, whose rows serve n_i pairs, q_b = sum_i n_i^2 +
-    sum_j n_j^2 - m_b and ell_b = sum_i n_i R_i + sum_j n_j C_j, which
-    vanishes when every row serves as many pairs.
+    cancellation of sum(v^2) - m u^2. The merge adds the cross terms of Chan,
+    Golub and LeVeque (1979) for groups of n_g samples: q_b = sum_g n_g^2 and
+    ell_b = sum_g n_g e_g, which vanishes but for rounding unless the block
+    ends in a short group.
     """
 
-    def moments(factors, columns, sums):
-        m = columns.shape[1]
-        e = columns - (sums / m)[:, None]
-        pair = _comoments(e, p)
-        if len(dims) == 1:
-            return sums, m, pair, pair, np.zeros(len(e)), m
-        margins, (counts, q) = _margins(e, len(factors[0])), _design_counts(m)
-        design = tuple(a - b for a, b in zip(_comoments(margins, p), pair))
-        return sums, m, pair, design, np.einsum("ij,j->i", margins, counts), q
+    size = _group(dims)[1]
+
+    def moments(factors, columns, totals, sums):
+        m, groups = columns.shape[1], totals.shape[1]
+        counts = np.minimum(float(size), m - size * np.arange(groups))  # n_g
+        mean = sums / m
+        e = totals - mean[:, None] * counts
+        squares = None
+        if floor:
+            values = len(columns) - p
+            f = columns[:values] - mean[:values, None]
+            squares = np.einsum("ij,ij->i", f, f)
+        return sums, m, _comoments(e, p), np.einsum("ij,j->i", e, counts), counts @ counts, squares
 
     blocks = _map_blocks(cfg, dims, batch_f, moments)
     rows = blocks[-1][0]
-    sums, sizes, pairs, designs, ells, qs = zip(*(block for _, block in blocks))
+    sums, sizes, comoments, ells, qs, block_squares = zip(*(block for _, block in blocks))
     sums, sizes = np.array(sums), np.array(sizes)
     mean = np.cumsum(sums, axis=0)[-1] / cfg.n_samples
     k = len(mean) - p
@@ -337,8 +327,11 @@ def _pooled(cfg: SamplerConfig, dims: tuple, batch_f, p: int):
         raise BadParameter(f"the integrand returned {len(mean)} columns, "
                            f"no more than its {p} controls")
     deltas = sums / sizes[:, None] - mean
-    return (rows, mean, _merged(pairs, deltas, np.zeros_like(deltas), sizes, k),
-            _merged(designs, deltas, np.array(ells), np.array(qs), k))
+    squares = np.zeros(k)
+    if floor:  # merged as groups of one
+        df = deltas[:, :k]
+        squares = np.cumsum(np.array(block_squares) + df * (sizes[:, None] * df), axis=0)[-1]
+    return rows, mean, _merged(comoments, deltas, np.array(ells), np.array(qs), k), squares
 
 
 @dataclass(frozen=True)
@@ -359,7 +352,8 @@ class ControlFit:
 
 def _control_fit(control_mean: np.ndarray, cc: np.ndarray, n: int) -> ControlFit:
     """The fit of ``_estimate`` for controls of sample means ``control_mean``
-    and co-moment matrix ``cc`` over n samples.
+    and co-moment matrix ``cc`` over n samples, which ``_estimate`` takes to
+    be the group totals.
 
     A control whose sample standard deviation is at most CONSTANT_CONTROL_RSD
     times its |mean| is constant up to rounding (the marginal densities of a
@@ -382,43 +376,46 @@ def _estimate(cfg: SamplerConfig, dims: tuple, batch_f, method: str, control_mea
     """Mean and standard error of the integrand, column by column.
 
     An integrand of m reals gives one MCEstimate, one of (m, k) arrays a
-    tuple of k from the same draws. Without controls the estimate is the
-    sample mean, and its squared standard error the column's design
-    co-moment D (see ``_pooled``), or its sum of squared deviations if that
-    is larger, over (n - 1) n: for one factor the pooled per-sample variance
-    over n.
+    tuple of k from the same draws. With n samples in G groups (``_group``)
+    and D a column's co-moment of its group totals (``_pooled``), the squared
+    standard error is G D / ((G - 1 - p_used) n^2): for one factor, G = n,
+    the pooled per-sample variance over n.
+
+    Without controls the estimate is the sample mean and p_used = 0, and its
+    squared standard error is no smaller than the samples' sum of squared
+    deviations over (n - 1) n, their variance were they independent. In a
+    run of one group (at most GROUP^2 pairs) that is the only term.
 
     With p ``control_means`` mu_C the integrand returns k + p columns, the
     last p of them controls C of those exact means, and each value column f
     gets the regression (control-variate) estimate f_bar - beta^T (C_bar -
-    mu_C), beta the least-squares coefficients of f on C over the samples
-    (Lavenberg and Welch 1981; Glasserman 2004, section 4.1). Its squared
-    standard error is the design co-moment of the residual f - beta^T C,
-    (1, -beta)^T D (1, -beta), or the residual's sum of squares if that is
-    larger, over (n - 1 - p_used) n, clamped at 0, where
-    p_used is the rank of the fit (``_control_fit``). A run of fewer than
-    MIN_CONTROL_SAMPLES samples, or of n <= p + 1, uses no controls. A
-    column's estimate depends on its own values and the controls only.
+    mu_C), beta the least-squares coefficients of f's group totals on those
+    of C (Lavenberg and Welch 1981; Glasserman 2004, section 4.1). D is then
+    the co-moment of the residual f - beta^T C, (1, -beta)^T D (1, -beta),
+    clamped at 0, and p_used the rank of the fit (``_control_fit``). A run
+    of fewer than MIN_CONTROL_SAMPLES samples, or of G <= p + 1, uses no
+    controls. A column's estimate depends on its own values and the controls
+    only.
     """
-    p = len(control_means)
-    rows, mean, sums, design = _pooled(cfg, dims, batch_f, p)
-    n, dof = cfg.n_samples, cfg.n_samples - 1
+    p, n = len(control_means), cfg.n_samples
+    groups = -(-n // _group(dims)[1])  # BLOCK is a whole number of groups
+    fitted = p > 0 and n >= MIN_CONTROL_SAMPLES and groups >= p + 2
+    rows, mean, (d, cc, fc), floor = _pooled(cfg, dims, batch_f, p, not fitted)
     mean, control_mean = mean[:len(mean) - p], mean[len(mean) - p:]
-    if p and n >= max(MIN_CONTROL_SAMPLES, p + 2):
-        fit = _control_fit(control_mean, sums[1], n)
+    dof = groups - 1
+    if fitted:
+        fit = _control_fit(control_mean * (n / groups), cc, groups)
         dof -= fit.rank
         kept = fit.kept
         gap = (control_mean - np.asarray(control_means, dtype=float))[kept]
-        for j, cross in enumerate(sums[2]):
+        for j, cross in enumerate(fc):
             beta = fit.scale * (fit.inverse @ (fit.scale * cross[kept]))
             mean[j] -= beta @ gap
-            for m2, cc, fc in (sums, design):  # (1, -beta)^T M (1, -beta)
-                m2[j] += beta @ cc[np.ix_(kept, kept)] @ beta - 2.0 * (fc[j, kept] @ beta)
-    # The variance of a sum over the crossed pairs is at least that of as
-    # many independent pairs: sum_i n_i^2 >= sum_i n_i.
+            d[j] += beta @ cc[np.ix_(kept, kept)] @ beta - 2.0 * (cross[kept] @ beta)
+    var = groups * d / dof / n**2 if dof else np.zeros_like(d)
     estimates = tuple(
-        MCEstimate(float(mu), float(np.sqrt(max(v, s, 0.0) / dof / n)), n, cfg.seed, method)
-        for mu, v, s in zip(mean, design[0], sums[0])
+        MCEstimate(float(mu), float(np.sqrt(max(v, s / (n - 1) / n, 0.0))), n, cfg.seed, method)
+        for mu, v, s in zip(mean, var, floor)
     )
     return estimates if rows else estimates[0]
 
@@ -471,7 +468,7 @@ def reconstruct_density_matrix(n: int, cfg: SamplerConfig, *, batch_f) -> Densit
     accumulated matrix is validated (symmetrized and clamped) at the relaxed
     tolerance 5e-2, then trace-normalized to a strictly valid state.
     """
-    def reduce(factors, columns, sums):
+    def reduce(factors, columns, totals, sums):
         # _on_rays projected the drawn rows in place, so ``points`` are unit rows.
         (points,), (weights,) = factors, columns
         return np.einsum("b,bi,bj->ij", weights, points, points.conj(), optimize=True)

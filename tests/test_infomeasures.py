@@ -465,6 +465,17 @@ class TestControlVariateCoverage:
             pulls = [(run[j].mean - target) / run[j].std_error for run in runs]
             self.assert_unit_spread(pulls, name)
 
+    @pytest.mark.parametrize("n", [montecarlo.MIN_CONTROL_SAMPLES - 1,
+                                   montecarlo.MIN_CONTROL_SAMPLES])
+    def test_maxent_at_the_control_threshold(self, n):
+        # The shortest runs with controls fit them on 256 group totals; the
+        # longest without report the group-total SE of the plain mean.
+        sigma, dims = pm.maximally_entangled(3), pm.BipartiteDims(3, 3)
+        runs = [pm.mi_estimates(sigma, dims, pm.SamplerConfig(seed, n)) for seed in self.SEEDS]
+        for j, (name, target) in enumerate(zip(MI_COLUMNS, (1, 4, 1))):
+            pulls = [(run[j].mean - target * maxent_mi(3)) / run[j].std_error for run in runs]
+            self.assert_unit_spread(pulls, f"{name} at {n}")
+
     @pytest.mark.parametrize("name", ["mixed9x9", "pure3x4", "rank3_4x3", "separable3x3"])
     def test_projective_against_decomposition(self, name):
         sigma, dims = CONTROL_STATES[name]

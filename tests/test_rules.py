@@ -117,6 +117,9 @@ CONFINED = {
                         set()),
     "scipy import": (r"(?m)^\s*(?:from|import) scipy\b", "    from scipy import special",
                      {"oracles.py"}),
+    # The standard error has one path, from group totals.
+    "row-margin design": (r"\b_margins\b|_design_counts|_INCIDENCE",
+                          "margins, (counts, q) = _margins(e, rows), _design_counts(m)", set()),
 }
 
 
