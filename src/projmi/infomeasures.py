@@ -18,7 +18,11 @@ measures are exact (``_control_means``): E[(xx^dag)^(x)k] is the sum of the
 k! permutation operators over d(d+1)...(d+k-1) (Harrow 2013, "The church of
 the symmetric subspace"), so E[W^k] is a sum over the orbits of S_k x S_k
 (43 of them for k = 4) of traces of products of sigma, its partial traces,
-its partial transpose and its realignments. The paper's integrands are
+its partial transpose and its realignments. A pure state adds two controls
+of mean zero, W^5 and W^6 less their means given x: with sigma =
+|psi><psi|, W(x, y) = |<y|phi_x>|^2 for a vector phi_x of squared norm
+a(x), and |<y|u>|^2 is Beta(1, d_b - 1) for a unit u and a uniform unit ray
+y, so E_y[W^k | x] = k! a(x)^k / (d_b)_k. The paper's integrands are
 unchanged, only the way their sample mean is formed
 (``montecarlo._estimate``).
 
@@ -38,6 +42,7 @@ y alone are laid out by pair rather than recomputed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +60,7 @@ from .montecarlo import (
     integrate_product_nu,  # unused here; bound for perfbench's tracer
     pair_index,
 )
+from .native import single_blas_thread
 from .projective import (
     LiouvilleDensity,
     ProjectivePoint,
@@ -195,8 +201,10 @@ def _entropy_terms(w: np.ndarray) -> np.ndarray:
     return -w * _support_log2(w)
 
 
+@single_blas_thread()
 def differential_entropy_mu(sigma: DensityMatrix, cfg: SamplerConfig) -> MCEstimate:
-    """-integral of rho log2 rho over the mass-n invariant measure, in bits."""
+    """-integral of rho log2 rho over the mass-n invariant measure, in bits;
+    set-up and run hold one BLAS thread (``native.single_blas_thread``)."""
     density = liouville_density(sigma)
     est = integrate_mu(sigma.dim, cfg, batch_f=lambda ps: _entropy_terms(density.eval_batch(ps)))
     return replace(est, method="entropy_mu")
@@ -372,23 +380,37 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
     laid out by pair. Ten control columns W, W^2, W^3, W_A, W_A^2, W_A^3,
     W_B, W_B^2, W_B^3, W^4 follow, whatever ``columns`` holds, the cubes
     formed as square times density and W^4 as the square of W^2; their exact
-    means are sums over the orbits of S_k x S_k (``_control_means``). ``start``,
-    the absolute index of the batch's first pair, numbers the pair a
-    MarginalZeroAnomaly names; the engine passes it, so batches may run in
-    any order."""
+    means are sums over the orbits of S_k x S_k (``_control_means``).
+
+    A pure state (an eigenfactor of one column) adds two controls of mean
+    zero, c_5 = W^5 - 5! W_A^5 / (d_b)_5 and c_6 = W^6 - 6! W_A^6 / (d_b)_6,
+    formed as W^4 W and W^3 W^3 less W_A^3 W_A^2 and W_A^3 W_A^3. For sigma
+    = |psi><psi|, W(x, y) = |<y|phi_x>|^2 with ||phi_x||^2 = W_A(x), and
+    |<y|u>|^2 is Beta(1, d_b - 1) for a unit u and a uniform unit ray y,
+    so E_y[W^k | x] = k! W_A(x)^k / (d_b)_k: c_k is centred on its mean
+    given x and needs no orbit sum.
+
+    ``start``, the absolute index of the batch's first pair, numbers the
+    pair a MarginalZeroAnomaly names; the engine passes it, so batches may
+    run in any order."""
     if not columns or not set(columns) <= set(MI_COLUMNS):
         raise BadParameter(f"MI columns must come from {MI_COLUMNS}, got {columns!r}")
     joint = joint_density_eval(sigma, dims)
     marg_a = liouville_density(partial_trace(sigma, dims, "A"))
     marg_b = liouville_density(partial_trace(sigma, dims, "B"))
     log_ratio = not set(columns).isdisjoint(("projective", "gaussian"))
+    # The powers k of a pure state's centred controls, and as a column their
+    # E_y[W^k | x] / W_A(x)^k = k! / (d_b)_k.
+    ks = (5, 6) if joint._factor.shape[1] == 1 else ()
+    overlap_moments = np.array([math.factorial(k) / math.prod(range(dims.dim_b, dims.dim_b + k))
+                                for k in ks])[:, None]
 
     def batch(xs, ys, start=0):
         w, a, b, r2 = _ray_densities(joint, marg_a, marg_b, xs, ys)
         ix, iy = pair_index(len(xs))
         # Filled by rows and returned transposed, so the engine's (columns,
         # rows) view of it is contiguous and needs no copy.
-        out = np.empty((len(columns) + 10, len(w)))
+        out = np.empty((len(columns) + 10 + len(ks), len(w)))
         controls = out[len(columns):]
         # Per row: the density, its square and cube, its log2 and its
         # decomposition term, then laid out by pair.
@@ -421,23 +443,32 @@ def _mi_integrand(sigma: DensityMatrix, dims: BipartiteDims, columns: tuple):
         np.square(w, out=controls[1])
         np.multiply(controls[1], w, out=controls[2])
         np.square(controls[1], out=controls[9])
+        if ks:
+            # W^4 W and W^3 W^3, less the moments times W_A^3 W_A^2 and W_A^3 W_A^3.
+            np.multiply(controls[9], w, out=controls[10])
+            np.square(controls[2], out=controls[11])
+            controls[10:] -= overlap_moments * (controls[5] * controls[4:6])
         return out.T
 
-    return batch, _control_means(joint, marg_a, marg_b)
+    return batch, _control_means(joint, marg_a, marg_b) + (0.0,) * len(ks)
 
 
+@single_blas_thread()
 def mi_estimates(
     sigma: DensityMatrix, dims: BipartiteDims, cfg: SamplerConfig, columns: tuple = MI_COLUMNS
 ) -> tuple[MCEstimate, ...]:
     """The MI estimates named by ``columns`` (from MI_COLUMNS, tagged "mi_<name>"),
     in order, from one engine run at ``cfg``; each equals its standalone
     estimator. Each is the regression estimate on the integrand's ten
-    controls (see ``_mi_integrand`` and ``montecarlo._estimate``)."""
+    controls, twelve for a pure state (see ``_mi_integrand`` and
+    ``montecarlo._estimate``). Set-up, run and control fit hold one BLAS
+    thread (``native.single_blas_thread``)."""
     batch, means = _mi_integrand(sigma, dims, columns)
     estimates = gaussian_pair_expectation(
         dims.dim_a, dims.dim_b, cfg, batch_f=batch, control_means=means
     )
-    return tuple(replace(est, method=f"mi_{name}") for est, name in zip(estimates, columns))
+    return tuple(replace(est, method=f"mi_{name}")
+                 for est, name in zip(estimates, columns, strict=True))
 
 
 def classical_like_mi_projective(

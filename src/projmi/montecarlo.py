@@ -73,9 +73,11 @@ _Y_ROW = (_X_ROW + _SHIFT) % GROUP
 # the residual SE is overconfident on heavy-tailed integrands: with the ten
 # MI controls fitted on crossed pairs, over 400 seeds of the projective MI of
 # maxent 3x3, pull sd 48 and 1.47 at 20 and 100 samples (pull mean 7.1 and
-# 0.10). At this threshold, 256 groups of pairs, the pull sd over 400 seeds
-# is 0.99-1.00 on each MI column of maxent 3x3 and 1.04-1.05 on maxent 5x5,
-# and 1.01 for mixed 9x9 projective against decomposition (300 seed pairs).
+# 0.10). Over 400 seeds, one sample below this threshold (no controls) the
+# pull sd is 0.99-1.04 on each MI column of maxent 3x3; at it, 256 groups of
+# pairs with a pure state's twelve MI controls, 0.96-1.01 on maxent 3x3 and
+# 1.06-1.17 on maxent 5x5 (1.04-1.05 with ten), and with ten, 1.01 for
+# mixed 9x9 projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
 
 

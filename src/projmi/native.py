@@ -11,9 +11,10 @@ CPU busy for the whole run. ``single_blas_thread()`` runs a block with
 OpenBLAS at one thread and then restores the previous count. The engine
 holds it for a whole run, whose blocks run on worker threads, one per CPU:
 the count is process-wide, so every worker's BLAS calls run on one thread
-and the parallelism is the engine's, one block per CPU. The command line
-runs each command inside it, which also covers the eigendecompositions of
-set-up.
+and the parallelism is the engine's, one block per CPU. The MI and
+canonical-entropy estimators hold it from their set-up (eigendecompositions
+and the control means) through the control fit, and the command line runs
+each command inside it.
 
 Page faults. glibc hands a freed block back to the kernel when it was
 mapped on its own or leaves enough free memory at the top of the heap, and

@@ -306,7 +306,11 @@ class TestRecords:
     1.82 old SE, each SE within 5% of the old one). Both `mi --method all`
     entries, their ratio and the sweep's projective row were recorded again
     when the SE and the control fit moved to group totals (each new estimate
-    within 0.08 old SE, each SE 0.99-1.03 times the old one)."""
+    within 0.08 old SE, each SE 0.99-1.03 times the old one), and again when
+    a pure state's integrand gained the controls c_5 and c_6 (projective
+    +0.55 and sweep row -2.15 old SE, their SE 0.36-0.37 times the old one,
+    each within 1.4 new SE of the exact MI; gaussian -0.02 old SE, SE 1.001
+    times the old one)."""
 
     RECORD = (
         "command", "state_spec", "method", "estimate", "std_error",
@@ -332,15 +336,15 @@ class TestRecords:
         assert_record(payload, {
             "command": "mi", "state_spec": "maxent:d=3", "method": "all", "dims": [3, 3],
             "projective": {
-                "estimate": 0.3826891308403674, "std_error": 0.00024926595114332635,
+                "estimate": 0.38282625784193525, "std_error": 9.059232478155408e-05,
                 "n_samples": 10000, "seed": 42, "method": "mi_projective",
             },
             "gaussian": {
-                "estimate": 1.4790725556097564, "std_error": 0.043859234160000295,
+                "estimate": 1.4780195665398523, "std_error": 0.043919539018968355,
                 "n_samples": 10000, "seed": 42, "method": "mi_gaussian",
             },
             "von_neumann": 3.16992500144231,
-            "ratio_gaussian_over_projective": 3.864945294792623,
+            "ratio_gaussian_over_projective": 3.860810318685377,
             "n_samples": 10000, "seed": 42, "runtime_ms": 0, "version": pm.__version__,
         })
         _, out, _ = run_cli(capsys, *argv, "--out", "csv")
@@ -362,7 +366,7 @@ class TestRecords:
         _, out, _ = run_cli(capsys, *argv, "--out", "json")
         first, second = json.loads(out)
         assert_record(first, dict(zip(self.SWEEP_ROW, (
-            "maxent", 3, "projective", 0.383111493414242, 0.00023421518775088528, 10000, 2, 0,
+            "maxent", 3, "projective", 0.38260718630309, 8.628042365330937e-05, 10000, 2, 0,
         ))))
         assert_record(second, dict(zip(self.SWEEP_ROW, (
             "maxent", 3, "closed-form", 4.8048602279453485, 0.0, 0, 2, 0,

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projmi as pm
-from projmi import montecarlo, oracles
+from projmi import infomeasures, montecarlo, oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
@@ -306,6 +307,16 @@ class TestMiEstimates:
         with pytest.raises(BadParameter):
             pm.mi_estimates(pm.maximally_entangled(3), DIMS33, pm.SamplerConfig(0, 100), columns)
 
+    def test_more_controls_than_means_raises(self, monkeypatch):
+        # The engine would count the control without a mean as a value column.
+        def one_mean_short(*args):
+            batch, means = _mi_integrand(*args)
+            return batch, means[:-1]
+
+        monkeypatch.setattr(infomeasures, "_mi_integrand", one_mean_short)
+        with pytest.raises(ValueError):
+            pm.mi_estimates(pm.mixed_random(9, 4, 2), DIMS33, pm.SamplerConfig(1, 5000))
+
 
 def mixed6_state() -> pm.DensityMatrix:
     """The full-rank 36 x 36 state of the benchmark's mi.mixed6 workload."""
@@ -327,6 +338,7 @@ CONTROL_STATES = {
     "separable3x3": (pm.assemble(pm.random_mixture(3, 3, 4, seed=3)), DIMS33),
     "rank3_4x3": (pm.mixed_random(12, 3, 2), pm.BipartiteDims(4, 3)),
 }
+PURE_CONTROL_STATES = ("maxent3x3", "pure3x4")
 
 
 class TestControlMeans:
@@ -344,6 +356,8 @@ class TestControlMeans:
         # A constant control (a and b on maxent) matches to rounding only.
         rounding = 64 * np.finfo(float).eps
         labels = [f"{q}^{k}" for q in "Wab" for k in (1, 2, 3)] + ["W^4"]
+        if name in PURE_CONTROL_STATES:
+            labels += ["c_5", "c_6"]
         for est, exact, label in zip(controls, means, labels, strict=True):
             assert abs(est.mean - exact) <= 4 * est.std_error + rounding * exact, label
 
@@ -384,6 +398,9 @@ class TestExactMoments:
         if conjugate:
             sigma = pm.validate_density(sigma.matrix.conj())
         _, means = _mi_integrand(sigma, dims, ("projective",))
+        if kind == "rank1":  # c_5 and c_6 follow, of mean zero
+            assert means[10:] == (0.0, 0.0)
+            means = means[:10]
         rho_a, rho_b = (pm.partial_trace(sigma, dims, side).matrix for side in "AB")
         densities = {"W": (sigma.matrix, d_a, d_b), "a": (rho_a, d_a, 1), "b": (rho_b, d_b, 1)}
         moments = [*itertools.product("Wab", (1, 2, 3)), ("W", 4)]
@@ -392,10 +409,38 @@ class TestExactMoments:
             assert mean == pytest.approx(want, rel=1e-12, abs=0.0), f"E[{label}^{k}]"
 
 
+class TestPureStateControls:
+    """For a pure state, E_y[W^k | x] = k! a(x)^k / (d_b)_k: the identity that
+    centres the controls c_5 and c_6 of its integrand."""
+
+    @pytest.mark.parametrize("d_a, d_b", [(3, 3), (3, 4), (4, 3), (5, 5), (6, 6)])
+    def test_joint_moments_are_the_marginal_moments(self, d_a, d_b):
+        sigma, dims = split_states(d_a, d_b)["rank1"], pm.BipartiteDims(d_a, d_b)
+        rho_a, rho_b = (pm.partial_trace(sigma, dims, side) for side in "AB")
+        marg_a = pm.liouville_density(rho_a)
+        means = infomeasures._control_means(pm.joint_density_eval(sigma, dims), marg_a,
+                                            pm.liouville_density(rho_b))
+        a_moments = (*infomeasures._ray_moments(marg_a._factor)[1:],
+                     permutation_sum_moment(rho_a.matrix, d_a, 1, 4))
+        for k, w_mean, a_mean in zip((2, 3, 4), (means[1], means[2], means[9]), a_moments,
+                                     strict=True):
+            want = math.factorial(k) / math.prod(range(d_b, d_b + k)) * a_mean
+            assert w_mean == pytest.approx(want, rel=1e-12, abs=0.0), f"E[W^{k}]"
+
+    def test_controls_have_mean_zero(self):
+        sigma, dims = pm.pure_random(12, 11), pm.BipartiteDims(3, 4)
+        batch, means = _mi_integrand(sigma, dims, ("projective",))
+        assert means[10:] == (0.0, 0.0)
+        *_, c5, c6 = pm.gaussian_pair_expectation(3, 4, pm.SamplerConfig(0, 300 * BLOCK),
+                                                  batch_f=batch)
+        for label, est in (("c_5", c5), ("c_6", c6)):
+            assert abs(est.mean) <= 4 * est.std_error, label
+
+
 class TestControlFit:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_maxent_regresses_on_the_joint_controls_only(self, monkeypatch, d):
-        # a = b = 1/d on every unit row: only W, W^2, W^3 and W^4 vary.
+        # a = b = 1/d on every unit row: only W, W^2, W^3, W^4, c_5 and c_6 vary.
         fits = []
         original = montecarlo._control_fit
 
@@ -407,8 +452,8 @@ class TestControlFit:
         pm.mi_estimates(pm.maximally_entangled(d), pm.BipartiteDims(d, d),
                         pm.SamplerConfig(0, 5000))
         (fit,) = fits
-        assert fit.kept.tolist() == [0, 1, 2, 9]
-        assert fit.rank == 4
+        assert fit.kept.tolist() == [0, 1, 2, 9, 10, 11]
+        assert fit.rank == 6
 
     @pytest.mark.parametrize("n, fitted", [(montecarlo.MIN_CONTROL_SAMPLES - 1, False),
                                            (montecarlo.MIN_CONTROL_SAMPLES, True)])

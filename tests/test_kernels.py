@@ -1,5 +1,7 @@
 """The batch kernels against their per-row definitions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -312,9 +314,13 @@ class TestRayDensities:
         out = batch(xs, ys)
         projective, gaussian = out[:, 0], out[:, 1]
         controls = out[:, 3:].T
-        for got, want in zip(controls, (w, w * w, w * w * w, a, a * a, a * a * a,
-                                        b, b * b, b * b * b, (w * w) * (w * w)), strict=True):
-            assert np.array_equal(got, want)
+        want = [w, w * w, w * w * w, a, a * a, a * a * a, b, b * b, b * b * b, (w * w) * (w * w)]
+        if kind == "rank1":
+            # W^k less its mean given x, k! a^k / (d_b)_k, for k = 5, 6.
+            k5, k6 = (math.factorial(k) / math.prod(range(d_b, d_b + k)) for k in (5, 6))
+            want += [want[9] * w - k5 * (want[5] * want[4]), want[2] * want[2] - k6 * want[5] ** 2]
+        for got, expected in zip(controls, want, strict=True):
+            assert np.array_equal(got, expected)
         np.testing.assert_allclose(gaussian * dims.joint, projective * r2, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d", [3, 4, 6])

@@ -91,6 +91,26 @@ def test_many_threads_entering_and_leaving_restore_the_count():
 
 
 @needs_openblas
+def test_estimators_set_up_and_fit_on_one_thread(monkeypatch):
+    # Set-up (the eigenfactors) and the control fit call eigh outside the
+    # engine's blocks.
+    depths, eigh = [], np.linalg.eigh
+
+    def recorded(*args, **kwargs):
+        depths.append(native._depth)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    sigma = pm.mixed_random(9, 4, 2)
+    pm.mi_estimates(sigma, pm.BipartiteDims(3, 3), pm.SamplerConfig(1, 5000))
+    mi_calls = len(depths)
+    pm.differential_entropy_mu(sigma, pm.SamplerConfig(1, 100))
+    assert 0 < mi_calls < len(depths)
+    assert min(depths) >= 1
+    assert native._depth == 0
+
+
+@needs_openblas
 def test_engine_evaluates_integrand_on_one_thread():
     before = threads()
     seen = []
