@@ -36,6 +36,7 @@ from .states import (
     DensityMatrix,
     assemble,
     build_state,
+    require_seed,
     spectral,
     vn_mutual_information,
     von_neumann_entropy,
@@ -323,8 +324,7 @@ def main(argv=None) -> int:
         args.samples = _parse_samples(args.samples)
         if not args.tol >= 0.0:
             raise BadParameter(f"--tol must be a number >= 0, got {args.tol!r}")
-        if not 0 <= args.seed < 2**64:
-            raise BadParameter(f"--seed must be an integer in [0, 2^64), got {args.seed}")
+        require_seed(args.seed, "--seed")
         if args.out is None:
             args.out = args.default_out
         with single_blas_thread():

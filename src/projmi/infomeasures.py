@@ -225,7 +225,7 @@ def pure_state_entropy_gaussian(psi: np.ndarray, cfg: SamplerConfig) -> MCEstima
     and every dimension."""
     factor = ProjectivePoint(psi).vector.conj()[:, None]  # validates a unit vector
     est = gaussian_expectation(
-        len(factor), cfg, batch_f=lambda xs: _entropy_terms(factored_density(xs, factor))
+        len(factor), cfg, batch_f=lambda xs, start: _entropy_terms(factored_density(xs, factor))
     )
     return replace(est, method="entropy_gaussian")
 

@@ -15,8 +15,11 @@ rows per factor. Pair GROUP s + i of group g joins x row GROUP g + i with
 y row GROUP g + (i + s) mod GROUP (``pair_index``): any prefix of a group
 pairs each row at most once more than any other, and the last block's last
 group is cut after its last sample. ``n_samples`` counts pairs, and a sample
-index, such as the ``start`` an integrand may take or the index an error
-names, is the index of a pair in this order.
+index, such as an error names, is the index of a pair in this order.
+
+An integrand of raw rows is called as ``batch_f(*rows, start=k)``, k the
+index of its block's first sample, so that it can number the samples it
+names; an integrand of unit rows receives only the unit rows.
 
 The pairs of a group share rows, so their values correlate, but the groups
 are independent and identically distributed: the group is the sampling
@@ -41,7 +44,7 @@ the blocks already running have finished; the others never start.
 from __future__ import annotations
 
 import functools
-import inspect
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -55,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .native import single_blas_thread
-from .states import DensityMatrix, rank_cutoff, spectral, validate_density
+from .states import DensityMatrix, rank_cutoff, require_seed, spectral, validate_density
 
 # Samples per block. Fixed, so that the stream and the standard error depend
 # on (seed, n_samples) only; larger blocks raise the peak memory of wide kernels.
@@ -83,16 +86,17 @@ MIN_CONTROL_SAMPLES = 4096
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed in [0, 2^64) and sample count of one Monte Carlo run."""
+    """Seed (``states.require_seed``) and sample count, an integer >= 2, of
+    one Monte Carlo run."""
 
     seed: int
     n_samples: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise BadParameter(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        if self.n_samples < 2:
-            raise BadParameter(f"n_samples must be >= 2, got {self.n_samples}")
+        require_seed(self.seed)
+        n = self.n_samples
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise BadParameter(f"n_samples must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,9 @@ def group_pairs(table: np.ndarray) -> np.ndarray:
 
 
 def _on_rays(batch_f):
-    """``batch_f`` applied to the drawn rows after projecting them in place."""
-    return lambda *factors: batch_f(*(project_rows(z)[0] for z in factors))
+    """``batch_f`` applied to the drawn rows after projecting them in place;
+    it is not passed ``start``."""
+    return lambda *factors, start: batch_f(*(project_rows(z)[0] for z in factors))
 
 
 def _cpus() -> int:
@@ -170,15 +175,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _takes_start(batch_f) -> bool:
-    """Whether ``batch_f`` has a ``start`` parameter, for the absolute index
-    of its block's first sample."""
-    try:
-        return "start" in inspect.signature(batch_f).parameters
-    except (TypeError, ValueError):  # no signature to read, as for a ufunc
-        return False
-
-
 def _group(dims: tuple) -> tuple[int, int]:
     """The rows per factor and the samples of one group: a one-factor group
     is one row, a two-factor group GROUP rows per factor and their GROUP^2
@@ -187,29 +183,27 @@ def _group(dims: tuple) -> tuple[int, int]:
     return rows, rows ** len(dims)
 
 
-def _block(dims: tuple, batch_f, takes_start: bool, rng, start: int, m: int, reduce):
+def _block(dims: tuple, batch_f, rng, start: int, m: int, reduce):
     """Whether ``batch_f`` returns rows of values, and ``reduce(factors,
     columns, totals, sums)``, for the block of m samples from ``start``.
 
     Draws one raw complex Gaussian array per entry of ``dims`` from ``rng``,
     in order (``_gaussian_rows``): the rows of the block's groups, one group
     started per sample for one factor and per GROUP^2 pairs for two
-    (``_group``). It evaluates ``batch_f(*factors)``, passing ``start=start``
-    if it ``takes_start``, to one value, or one row of values, per sample:
-    for two factors, per pair of each group in group order (``pair_index``),
-    of which the first m are kept. ``columns`` holds the kept values column
-    by column, contiguously, ``totals`` their sums over the samples of each
-    group, the last group cut after the m-th sample, and ``sums`` the sums
-    of the columns. ``columns`` may be a view of the array ``batch_f``
-    returned, which may be its input or a caller's array, so ``reduce`` must
-    not write into it. A non-finite value is an error naming its absolute
-    sample index.
+    (``_group``). It evaluates ``batch_f(*factors, start=start)`` to one
+    value, or one row of values, per sample: for two factors, per pair of
+    each group in group order (``pair_index``), of which the first m are
+    kept. ``columns`` holds the kept values column by column, contiguously,
+    ``totals`` their sums over the samples of each group, the last group cut
+    after the m-th sample, and ``sums`` the sums of the columns. ``columns``
+    may be a view of the array ``batch_f`` returned, which may be its input
+    or a caller's array, so ``reduce`` must not write into it. A non-finite
+    value is an error naming its absolute sample index.
     """
     rows, size = _group(dims)
     groups = -(-m // size)
     factors = [_gaussian_rows(rng, rows * groups, n) for n in dims]
-    result = batch_f(*factors, start=start) if takes_start else batch_f(*factors)
-    values = np.asarray(result, dtype=float)
+    values = np.asarray(batch_f(*factors, start=start), dtype=float)
     if len(values) != size * groups:
         raise BadParameter(f"the integrand returned {len(values)} values for a block of "
                            f"{size * groups} samples")
@@ -238,9 +232,10 @@ def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
     thread, in block order, and hands the blocks to a pool of one worker per
     CPU, at most one per block, that lives for this run only. OpenBLAS runs
     single-threaded for the whole run; the count is process-wide, so the
-    workers inherit it. An integrand with a ``start`` parameter is passed the
-    absolute index of its block's first sample. A block's result depends on
-    its own rows only, so the list is the same for any number of workers.
+    workers inherit it. ``batch_f`` is called as ``batch_f(*rows, start=k)``,
+    k the absolute index of the block's first sample; ``_on_rays`` passes a
+    unit-row integrand only the unit rows. A block's result depends on its
+    own rows only, so the list is the same for any number of workers.
     The first block in block order that raises stops the run with its error:
     the map cancels the blocks not yet started, and the pool's exit waits for
     the running ones, so no block runs once the call has returned.
@@ -248,13 +243,12 @@ def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
     # Imported here: concurrent.futures takes about 8 ms to import.
     from concurrent.futures import ThreadPoolExecutor
 
-    takes_start = _takes_start(batch_f)
     starts = range(0, cfg.n_samples, BLOCK)
     rngs = (substream(cfg.seed, k) for k in range(len(starts)))
 
     def block(rng, start):
         m = min(BLOCK, cfg.n_samples - start)
-        return _block(dims, batch_f, takes_start, rng, start, m, reduce)
+        return _block(dims, batch_f, rng, start, m, reduce)
 
     with single_blas_thread(), ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
         return list(pool.map(block, rngs, starts))
@@ -448,17 +442,19 @@ def integrate_product_nu(n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f) -> 
 
 
 def gaussian_expectation(n: int, cfg: SamplerConfig, *, batch_f) -> MCEstimate:
-    """Expectation of ``batch_f(xs)`` over raw (unnormalized) standard complex Gaussians."""
+    """Expectation of ``batch_f(xs, start=k)`` over raw (unnormalized) standard
+    complex Gaussians, k the absolute index of the block's first sample."""
     return _estimate(cfg, (n,), batch_f, "gaussian")
 
 
 def gaussian_pair_expectation(
     n_a: int, n_b: int, cfg: SamplerConfig, *, batch_f, control_means=()
 ):
-    """Expectation of ``batch_f(xs, ys)`` over independent raw Gaussian vectors,
-    per column, on the crossed pairs of ``integrate_product_nu``; the last
-    len(control_means) columns are controls of those exact means (see
-    ``_estimate``), and the estimates are of the others."""
+    """Expectation of ``batch_f(xs, ys, start=k)`` over independent raw
+    Gaussian vectors, per column, on the crossed pairs of
+    ``integrate_product_nu``, k the absolute index of the block's first pair;
+    the last len(control_means) columns are controls of those exact means
+    (see ``_estimate``), and the estimates are of the others."""
     return _estimate(cfg, (n_a, n_b), batch_f, "gaussian_pair", control_means)
 
 

@@ -48,6 +48,14 @@ def require_hermitian(a: np.ndarray, tol: float = VALIDATION_TOL, what: str = "m
         )
 
 
+def require_seed(seed, what: str = "seed") -> int:
+    """``seed``; BadParameter, naming ``what``, unless it is an integer (not
+    a bool) in [0, 2^64), one 64-bit word of numpy's SeedSequence."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise BadParameter(f"{what} must be an integer in [0, 2^64), got {seed!r}")
+    return seed
+
+
 def spectral(solve, m: np.ndarray):
     """``solve(m)`` for a numpy eigensolver (``np.linalg.eigh`` or ``eigvalsh``),
     with numpy's LinAlgError raised as EigenDecompositionFailure."""
@@ -63,9 +71,10 @@ def rank_cutoff(vals: np.ndarray) -> float:
 
 
 def _rng(seed) -> np.random.Generator:
+    """``seed`` if it is a Generator, else the generator of a seed in [0, 2^64)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(require_seed(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +374,7 @@ def _build(family, params: dict, prefix: str, seed):
         return value
 
     if "seed" in params:
-        seed = take("seed")
-        if not 0 <= seed < 2**64:
-            raise BadParameter(f"parameter '{prefix}seed' must lie in [0, 2^64), got {seed}")
+        seed = require_seed(take("seed"), f"parameter {prefix + 'seed'!r}")
     split = None
     if family == "maxent":
         d = take("d")
@@ -404,7 +411,7 @@ def build_state(spec: str, seed: int = 0):
     ``maxent``, the factors' dimensions for ``product``, (na, nb) for
     ``separable_mixture``, and None for the single-system families."""
     family, params = parse_state_spec(spec)
-    return _build(family, params, "", seed)
+    return _build(family, params, "", require_seed(seed))
 
 
 def make_state(spec: str, seed: int = 0) -> DensityMatrix:
@@ -425,6 +432,5 @@ SQUARE_SPECS = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
 
 def derived_seeds(seed: int, count: int) -> list[int]:
     """Deterministic child seeds for independent substreams of ``seed``."""
-    mask = (1 << 64) - 1
-    root = np.random.SeedSequence([seed & mask, 0x5EED])
+    root = np.random.SeedSequence([seed, 0x5EED])
     return [int(s) for s in root.generate_state(count, np.uint64)]

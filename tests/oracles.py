@@ -1,8 +1,8 @@
 """Independent low-dimensional quadrature and moment oracles.
 
-These validate the Monte Carlo estimators from the outside: nothing here is
-imported by the estimator modules, so agreement between the two routes is
-evidence, not circularity.
+These validate the Monte Carlo estimators from the outside: they live with
+the tests, and nothing in the package imports them, so agreement between
+the two routes is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from .constants import EULER_GAMMA, LOG2_E
-from .errors import BadParameter, DimensionMismatch, QuadratureNotConverged
-from .states import matrix_of
+from projmi.constants import EULER_GAMMA, LOG2_E
+from projmi.errors import BadParameter, DimensionMismatch, QuadratureNotConverged
+from projmi.states import matrix_of
 
 _QUAD_ABS_TOL = 1e-10
 _QUAD_ACCEPT = 1e-8

@@ -11,9 +11,10 @@ import json
 import numpy as np
 
 import projmi as pm
-from projmi import oracles
 from projmi.cli import main as cli_main
 from projmi.constants import EULER_GAMMA, LOG2_E
+
+import oracles
 
 DIMS33 = pm.BipartiteDims(3, 3)
 N_MC = 1_000_000

@@ -17,6 +17,8 @@ from projmi import cli, errors, io, montecarlo
 from projmi.cli import build_parser, main
 from projmi.infomeasures import MI_COLUMNS
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -67,8 +69,7 @@ class TestEntropyCommand:
         )
         assert code == 0
         record = json.loads(out)
-        from projmi.oracles import beta_pure_entropy
-        assert abs(record["estimate"] - beta_pure_entropy(3)) <= 4 * record["std_error"]
+        assert abs(record["estimate"] - oracles.beta_pure_entropy(3)) <= 4 * record["std_error"]
 
     def test_gaussian_overlap_matches_constant(self, capsys):
         code, out, _ = run_cli(
@@ -288,29 +289,11 @@ class TestSweepCommand:
 
 
 class TestRecords:
-    """Record shapes and values recorded before the record builders were
-    merged into one emitter. The `mi --method all` Gaussian entry was
-    recorded again when both MI estimators moved onto one shared draw, and
-    every standard error and both `mi --method all` entries when the SE
-    became the pooled per-sample SE and that draw moved to `--seed`. Both
-    `mi --method all` entries, their ratio and the sweep's projective row
-    were recorded again for the control-variate estimate. Every Monte Carlo
-    value was recorded again when the draw became the complex view of one
-    normal array per factor (each new estimate within 1.8 old SE). Both
-    `mi --method all` entries, their ratio and the sweep's projective row
-    were recorded again when W^3, a^3 and b^3 joined the controls (each new
-    estimate within 1.1 old SE, each SE no larger), and again when W^4 did
-    (each new estimate within 1.11 old SE, each SE no larger). Every Monte
-    Carlo value was recorded again when blocks grew to 8192 samples and
-    two-factor runs became crossed 4 x 4 groups (each new estimate within
-    1.82 old SE, each SE within 5% of the old one). Both `mi --method all`
-    entries, their ratio and the sweep's projective row were recorded again
-    when the SE and the control fit moved to group totals (each new estimate
-    within 0.08 old SE, each SE 0.99-1.03 times the old one), and again when
-    a pure state's integrand gained the controls c_5 and c_6 (projective
-    +0.55 and sweep row -2.15 old SE, their SE 0.36-0.37 times the old one,
-    each within 1.4 new SE of the exact MI; gaussian -0.02 old SE, SE 1.001
-    times the old one)."""
+    """Record shapes and values of `entropy`, `mi --method all` and `sweep`,
+    floats pinned at rel 1e-12 (``assert_record``). Only a change of the
+    draw, its seeding, the blocks and groups, the standard error, the
+    controls or an integrand moves the Monte Carlo values; record them again
+    with such a change and log it in CHANGES.md."""
 
     RECORD = (
         "command", "state_spec", "method", "estimate", "std_error",

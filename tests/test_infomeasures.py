@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projmi as pm
-from projmi import infomeasures, montecarlo, oracles
+from projmi import infomeasures, montecarlo
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
 from projmi.montecarlo import BLOCK, GROUP
 from projmi.projective import LiouvilleDensity, hermitian_features
 
+import oracles
 from helpers import agree_within, random_point, random_product_state, split_states
 
 DIMS33 = pm.BipartiteDims(3, 3)

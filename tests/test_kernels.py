@@ -263,7 +263,7 @@ def test_pure_state_gaussian_term_is_the_overlap(monkeypatch):
     pm.pure_state_entropy_gaussian(psi, pm.SamplerConfig(0, 100))
     xs = gaussian_rows(np.random.default_rng(11), 200, 5)
     u = np.array([abs(np.vdot(psi, x)) ** 2 for x in xs])
-    np.testing.assert_allclose(captured["batch_f"](xs), -u * np.log2(u), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(captured["batch_f"](xs, start=0), -u * np.log2(u), rtol=1e-13, atol=0)
 
 
 RAY_CASES = [

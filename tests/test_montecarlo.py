@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import montecarlo, oracles
+from projmi import montecarlo
 from projmi.constants import LOG2_E
 from projmi.errors import (
     BadParameter,
@@ -18,6 +18,7 @@ from projmi.errors import (
 from projmi.montecarlo import BLOCK, GROUP, pair_index, pair_rows
 from projmi.projective import LiouvilleDensity
 
+import oracles
 from helpers import random_hermitian
 
 
@@ -37,6 +38,13 @@ class TestSamplerConfig:
         # unreduced value, so -1 ran the stream of 2^64 - 1.
         with pytest.raises(BadParameter, match="seed"):
             pm.SamplerConfig(seed=seed, n_samples=10)
+
+    @pytest.mark.parametrize("seed, n_samples, subject", [
+        (True, 10, "seed"), (1.5, 10, "seed"), (0, 1e4, "n_samples"), (0, True, "n_samples"),
+    ])
+    def test_non_integer_rejected(self, seed, n_samples, subject):
+        with pytest.raises(BadParameter, match=f"^{subject} must be an integer"):
+            pm.SamplerConfig(seed, n_samples)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, seed):
@@ -169,19 +177,20 @@ class TestColumns:
     def test_columns_equal_separate_runs(self):
         rho = pm.liouville_density(pm.mixed_random(3, 3, 5))
 
-        def first(xs, ys):
+        def first(xs, ys, start):
             return rho.eval_batch(pair_rows(xs, ys)[0])
 
-        def second(xs, ys):
+        def second(xs, ys, start):
             return rho.eval_batch(pair_rows(xs, ys)[1]) ** 2
+
+        def both_columns(xs, ys, start):
+            return np.column_stack((first(xs, ys, start), second(xs, ys, start)))
 
         # One block, three, and forty, where summing the block totals pairwise
         # instead of in block order would round differently for one column.
         for cfg in (pm.SamplerConfig(4, 3000), pm.SamplerConfig(4, 10_000),
                     pm.SamplerConfig(4, 40 * BLOCK)):
-            both = pm.gaussian_pair_expectation(
-                3, 3, cfg, batch_f=lambda xs, ys: np.column_stack((first(xs, ys), second(xs, ys)))
-            )
+            both = pm.gaussian_pair_expectation(3, 3, cfg, batch_f=both_columns)
             alone = tuple(
                 pm.gaussian_pair_expectation(3, 3, cfg, batch_f=f) for f in (first, second)
             )
@@ -191,11 +200,12 @@ class TestColumns:
         with pytest.raises(BadParameter, match="no more than its 2 controls"):
             pm.gaussian_pair_expectation(
                 3, 3, pm.SamplerConfig(0, 100),
-                batch_f=lambda xs, ys: np.ones((GROUP * len(xs), 2)), control_means=(1.0, 1.0),
+                batch_f=lambda xs, ys, start: np.ones((GROUP * len(xs), 2)),
+                control_means=(1.0, 1.0),
             )
 
     def test_non_finite_names_the_row(self):
-        def batch(xs, ys):
+        def batch(xs, ys, start):
             out = np.ones((GROUP * len(xs), 2))
             out[5, 1] = np.nan
             return out
@@ -220,7 +230,7 @@ class TestHeldValues:
         held = np.random.default_rng(1).standard_normal((3, BLOCK))
         before = held.copy()
         pm.gaussian_pair_expectation(3, 3, pm.SamplerConfig(0, BLOCK), control_means=(0.0,),
-                                     batch_f=lambda xs, ys: held.T)
+                                     batch_f=lambda xs, ys, start: held.T)
         assert np.array_equal(held, before)
 
 
@@ -458,33 +468,13 @@ class TestReconstruction:
 
 
 class TestStreamStability:
-    """Fixed-seed estimates pinned to values recorded before the batch loops
-    were merged into one engine. A change of draw order, seeding or blocking
-    moves them by about one standard error; BLAS rounding by about 1e-16.
-    10_000 samples run one full block of 8192 and a remainder block. The
-    standard errors were recorded again for the pooled per-sample SE, the
-    decomposition entry for its one-run integrand, and the three MI entries
-    for the control-variate estimate (each new mean within 4 old SE of the
-    old one, each SE smaller). Every entry and the reconstruction were
-    recorded again when the draw became the complex view of one normal
-    array per factor (each new mean within 1.3 old SE of the old one; the
-    reconstruction's distance to its state 0.035, was 0.034). The three MI
-    entries were recorded again when W^3, a^3 and b^3 joined the controls
-    (each new mean within 2.02 old SE, each SE no larger), and again when
-    W^4 did (each new mean within 0.56 old SE, each SE no larger). Every
-    entry and the reconstruction were recorded again when blocks grew to
-    8192 samples and two-factor runs became crossed 4 x 4 groups (each new
-    mean within 2.54 old SE; the pair-by-pair integrands of
-    integrate_product_nu and gaussian_pair_expectation share rows within a
-    group, and their design SE is 1.58 and 1.67 times the old one; the
-    reconstruction's distance to its state 0.036). The five two-factor
-    entries were recorded again when the SE and the control fit moved to
-    group totals (each new mean within 0.13 old SE, each SE 0.97-1.02 times
-    the old one); the one-factor entries and the reconstruction did not
-    move. The three MI entries, all on a pure state, were recorded again
-    when its integrand gained the controls c_5 and c_6 (each new mean within
-    0.20 old SE; projective and decomposition SE 0.36 and 0.38 times the old
-    one, gaussian 1.001)."""
+    """Fixed-seed estimates of every engine entry and of the three MI
+    estimators, and one reconstruction, pinned at rel 1e-12: BLAS rounding
+    moves them by about 1e-16. 10_000 samples run one full block of BLOCK
+    samples and a remainder block. Only a change of the draw, its seeding,
+    the blocks and groups, the standard error, the controls or an integrand
+    moves them; record them again with such a change and log it in
+    CHANGES.md."""
 
     PINNED = {
         "integrate_nu": (0.3319404172456326, 0.0013074913680569844),
@@ -525,10 +515,11 @@ class TestStreamStability:
                 3, 4, cfg(103), batch_f=lambda xs, ys: joint34.eval_batch(*pair_rows(xs, ys))
             ),
             "gaussian_expectation": pm.gaussian_expectation(
-                3, cfg(104), batch_f=rho3.eval_batch
+                3, cfg(104), batch_f=lambda xs, start: rho3.eval_batch(xs)
             ),
             "gaussian_pair_expectation": pm.gaussian_pair_expectation(
-                3, 3, cfg(105), batch_f=lambda xs, ys: joint.eval_batch(*pair_rows(xs, ys))
+                3, 3, cfg(105),
+                batch_f=lambda xs, ys, start: joint.eval_batch(*pair_rows(xs, ys)),
             ),
             "classical_like_mi_projective": pm.classical_like_mi_projective(
                 sigma, dims, cfg(107)
@@ -580,7 +571,7 @@ class TestWorkerCount:
         def threads_used(n_samples):
             seen = set()
 
-            def batch(xs):
+            def batch(xs, start):
                 seen.add(threading.get_ident())
                 time.sleep(0.005)  # let every worker take a block
                 return np.ones(len(xs))

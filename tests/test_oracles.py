@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import oracles
 from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch
 
+import oracles
 from helpers import random_hermitian
 
 

@@ -1,11 +1,15 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
-eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff.
-These tests pin the shared behaviour at every site that applies a rule, and
-guard against copies of the rules reappearing in other modules. Threads are
-started by the Monte Carlo engine only, no module reads the environment, and
-the block and group sizes of the engine are spelled BLOCK and GROUP."""
+eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff;
+so has the seed range. These tests pin the shared behaviour at every site
+that applies a rule, and guard against copies of the rules reappearing in
+other modules. Threads are started by the Monte Carlo engine only, no module
+reads the environment or imports scipy, and the block and group sizes of the
+engine are spelled BLOCK and GROUP."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 
 import projmi as pm
 from projmi import states
-from projmi.errors import DimensionMismatch, EigenDecompositionFailure, NotHermitian
+from projmi.errors import BadParameter, DimensionMismatch, EigenDecompositionFailure, NotHermitian
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projmi"
 
@@ -61,6 +65,12 @@ def test_require_hermitian_names_its_subject():
     states.require_hermitian(_skewed(), tol=1e-3)
 
 
+def test_require_seed_names_its_subject():
+    with pytest.raises(BadParameter, match=r"^--seed must be an integer in \[0, 2\^64\), got -1$"):
+        states.require_seed(-1, "--seed")
+    assert states.require_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -90,6 +100,7 @@ RULES = {
     "Hermiticity gap": (r"\b(\w+) - \1\.conj\(\)\.T", "np.max(np.abs(a - a.conj().T))"),
     "joint-dimension message": (re.escape("dim_a*dim_b"), 'f"{n} != dim_a*dim_b = {joint}"'),
     "numerical-rank cutoff": (r"np\.finfo\(float\)\.eps", "vals[-1] * n * np.finfo(float).eps"),
+    "seed range": (r"2\*\*64|1 << 64", "if not 0 <= args.seed < 2**64:"),
 }
 
 
@@ -116,7 +127,10 @@ CONFINED = {
     "reference count": (r"getrefcount", "sys.getrefcount(a) != sys.getrefcount(probe) + 1",
                         set()),
     "scipy import": (r"(?m)^\s*(?:from|import) scipy\b", "    from scipy import special",
-                     {"oracles.py"}),
+                     set()),
+    # The engine calls every integrand one way, so it reads no signature.
+    "signature probe": (r"\binspect\b", 'return "start" in inspect.signature(batch_f).parameters',
+                        set()),
     # The standard error has one path, from group totals.
     "row-margin design": (r"\b_margins\b|_design_counts|_INCIDENCE",
                           "margins, (counts, q) = _margins(e, rows), _design_counts(m)", set()),
@@ -129,6 +143,17 @@ def test_confined_spellings(rule):
     assert re.search(pattern, example)
     found = {path.name for path in SRC.glob("*.py") if re.search(pattern, path.read_text())}
     assert found <= owners
+
+
+def test_every_module_imports_without_scipy():
+    # scipy is a test dependency only; a module of None makes its import fail.
+    code = ("import importlib, pkgutil, sys; sys.modules['scipy'] = None; import projmi; "
+            "[importlib.import_module('projmi.' + m.name) "
+            "for m in pkgutil.iter_modules(projmi.__path__)]")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 # The engine's block size (samples, and rows per factor of a two-factor

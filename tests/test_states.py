@@ -228,6 +228,22 @@ class TestMakeState:
         b = pm.make_state("mixed_random:n=3,rank=3", seed=9)
         assert np.array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize("call, subject", [
+        (lambda: pm.make_state("pure_random:n=3", seed=-1), "^seed"),
+        (lambda: pm.make_state("mixed_random:n=3", seed=-1), "^seed"),
+        (lambda: pm.make_state("product:a.n=3,b.n=3", seed=-1), "^seed"),
+        (lambda: pm.make_state("product:a.n=3,b.n=3", seed=2**64), "^seed"),
+        (lambda: pm.make_state("maxent:d=3", seed=True), "^seed"),
+        (lambda: pm.make_state("pure_random:n=3,seed=-1"), "^parameter 'seed'"),
+        (lambda: pm.make_state("product:a.n=3,b.n=3,a.seed=-1"), "^parameter 'a.seed'"),
+        (lambda: pm.pure_random(3, None), "^seed"),
+        (lambda: pm.mixed_random(3, 2, 1.5), "^seed"),
+    ], ids=["pure_random", "mixed_random", "product", "product_2^64", "bool", "spec",
+            "factor_spec", "none", "float"])
+    def test_seed_outside_range_rejected(self, call, subject):
+        with pytest.raises(BadParameter, match=subject + r" must be an integer in \[0, 2\^64\)"):
+            call()
+
     def test_spec_seed_overrides_argument(self):
         a = pm.make_state("pure_random:n=3,seed=5", seed=1)
         b = pm.make_state("pure_random:n=3,seed=5", seed=2)
