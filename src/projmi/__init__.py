@@ -15,7 +15,6 @@ from .errors import (
     NotHermitian,
     NotPositive,
     ProjmiError,
-    QuadratureNotConverged,
     ReconstructionOutOfTolerance,
     TraceNotOne,
     UnknownFamily,
@@ -49,7 +48,6 @@ from .montecarlo import (
     integrate_product_nu,
     pair_rows,
     reconstruct_density_matrix,
-    substream,
 )
 from .projective import (
     Frame,
@@ -83,6 +81,7 @@ from .states import (
     partial_trace,
     pure_random,
     random_mixture,
+    substream,
     tensor,
     validate_density,
     vn_mutual_information,

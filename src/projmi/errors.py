@@ -64,7 +64,3 @@ class MarginalZeroAnomaly(ProjmiError):
 
 class ReconstructionOutOfTolerance(ProjmiError):
     """Moment-based operator reconstruction failed relaxed validation."""
-
-
-class QuadratureNotConverged(ProjmiError):
-    """Adaptive quadrature could not reach the requested accuracy."""

@@ -110,16 +110,12 @@ class JointDensity:
         return float(self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0])
 
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Density per row pair; rows need not be normalized."""
+        """Density <x (x) y| sigma |x (x) y> per row pair, clamped at 0; rows
+        need not be normalized."""
         if xs.shape[1:] != (self.dims.dim_a,) or ys.shape[1:] != (self.dims.dim_b,):
             raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
                                     f"(m, {self.dims.dim_a}), (m, {self.dims.dim_b})")
-        return self.eval_features(hermitian_features(xs), hermitian_features(ys))
-
-    def eval_features(self, features_x: np.ndarray, features_y: np.ndarray) -> np.ndarray:
-        """Density per column pair of the ``hermitian_features`` of rows x,
-        y of any norm: <x (x) y| sigma |x (x) y>, clamped at 0."""
-        w = np.einsum("fm,fm->m", self._gram @ features_x, features_y)
+        w = np.einsum("fm,fm->m", self._gram @ hermitian_features(xs), hermitian_features(ys))
         return np.maximum(w, 0.0, out=w)
 
     def eval_groups(self, features_x: np.ndarray, features_y: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 The invariant measure is realized by drawing standard complex Gaussian
 vectors (independent N(0,1) real and imaginary parts per component) and
 projecting them to the unit sphere. A run of n samples is cut into blocks
-of BLOCK samples (the last one shorter), and block k draws from the stream of
-(seed, k): one (rows, 2 width) array of standard normals per factor, x first,
-read as complex rows without a copy (consecutive normals are the real and
-imaginary parts of one entry). A one-factor block draws one row per sample.
+of BLOCK samples (the last one shorter), and block k draws from its own
+stream, ``states.substream(seed, k)``, which no seeded state shares: one
+(rows, 2 width) array of standard normals per factor, x first, read as
+complex rows without a copy (consecutive normals are the real and imaginary
+parts of one entry). A one-factor block draws one row per sample.
 
 A two-factor block is a crossed design. Its rows form groups of GROUP x rows
 and GROUP y rows, and each group yields all GROUP^2 pairs of its rows, so a
@@ -58,7 +59,9 @@ from .errors import (
     ValidationError,
 )
 from .native import single_blas_thread
-from .states import DensityMatrix, rank_cutoff, require_seed, spectral, validate_density
+from .states import (
+    DensityMatrix, rank_cutoff, require_seed, spectral, substream, validate_density,
+)
 
 # Samples per block. Fixed, so that the stream and the standard error depend
 # on (seed, n_samples) only; larger blocks raise the peak memory of wide kernels.
@@ -108,11 +111,6 @@ class MCEstimate:
     n_samples: int
     seed: int
     method: str
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic generator for block ``index`` of a run seeded by ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
 def _gaussian_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -227,12 +225,12 @@ def _block(dims: tuple, batch_f, rng, start: int, m: int, reduce):
 def _map_blocks(cfg: SamplerConfig, dims: tuple, batch_f, reduce) -> list:
     """``_block``'s result for every block of the run, in block order.
 
-    Block k has min(BLOCK, samples left) samples and draws from the substream
-    of (cfg.seed, k). ``Executor.map`` makes the substreams on the calling
-    thread, in block order, and hands the blocks to a pool of one worker per
-    CPU, at most one per block, that lives for this run only. OpenBLAS runs
-    single-threaded for the whole run; the count is process-wide, so the
-    workers inherit it. ``batch_f`` is called as ``batch_f(*rows, start=k)``,
+    Block k has min(BLOCK, samples left) samples and draws from
+    ``substream(cfg.seed, k)``. ``Executor.map`` makes the substreams on the
+    calling thread, in block order, and hands the blocks to a pool of one
+    worker per CPU, at most one per block, that lives for this run only.
+    OpenBLAS runs single-threaded for the whole run; the count is
+    process-wide, so the workers inherit it. ``batch_f`` is called as ``batch_f(*rows, start=k)``,
     k the absolute index of the block's first sample; ``_on_rays`` passes a
     unit-row integrand only the unit rows. A block's result depends on its
     own rows only, so the list is the same for any number of workers.

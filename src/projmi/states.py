@@ -71,10 +71,18 @@ def rank_cutoff(vals: np.ndarray) -> float:
 
 
 def _rng(seed) -> np.random.Generator:
-    """``seed`` if it is a Generator, else the generator of a seed in [0, 2^64)."""
+    """``seed`` if it is a Generator, else the root stream of a seed in
+    [0, 2^64), that of SeedSequence(seed), which draws every seeded state."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(require_seed(seed))
+
+
+def substream(seed: int, index: int) -> np.random.Generator:
+    """The stream of block ``index`` of a Monte Carlo run seeded by ``seed``:
+    spawn child ``index`` of SeedSequence(seed), independent of the root
+    stream (``_rng``) and of every other block (numpy's spawn tree)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,11 +395,11 @@ def _build(family, params: dict, prefix: str, seed):
         n = take("n")
         sigma = mixed_random(n, take("rank", n), seed)
     elif family == "product":
-        factors = []
-        for tag, factor_seed in zip(("a.", "b."), derived_seeds(seed, 2)):
+        g, factors = _rng(seed), []
+        for tag in ("a.", "b."):
             sub = {key[2:]: params.pop(key) for key in list(params) if key.startswith(tag)}
             sub_family = sub.pop("family", "mixed_random")
-            factors.append(_build(sub_family, sub, prefix + tag, factor_seed)[0])
+            factors.append(_build(sub_family, sub, prefix + tag, g)[0])
         sigma = validate_density(tensor(*factors))
         split = (factors[0].dim, factors[1].dim)
     elif family == "separable_mixture":
@@ -422,15 +430,11 @@ def make_state(spec: str, seed: int = 0) -> DensityMatrix:
     ``separable_mixture:na=3,nb=3,components=4``. Every parameter is an
     integer; an unknown or repeated key is a BadParameter. A ``seed=``
     parameter in [0, 2^64) overrides the ``seed`` argument for every family.
+    ``product`` draws factor a, then b, from its one stream; a factor's own
+    ``seed=`` gives that factor a stream of its own.
     """
     return build_state(spec, seed)[0]
 
 
 # The spec of each family that has a d x d member for every d >= 3.
 SQUARE_SPECS = {"maxent": "maxent:d={d}", "product": "product:a.n={d},b.n={d}"}
-
-
-def derived_seeds(seed: int, count: int) -> list[int]:
-    """Deterministic child seeds for independent substreams of ``seed``."""
-    root = np.random.SeedSequence([seed, 0x5EED])
-    return [int(s) for s in root.generate_state(count, np.uint64)]

@@ -11,8 +11,13 @@ import numpy as np
 from scipy import integrate
 
 from projmi.constants import EULER_GAMMA, LOG2_E
-from projmi.errors import BadParameter, DimensionMismatch, QuadratureNotConverged
+from projmi.errors import BadParameter, DimensionMismatch, ProjmiError
 from projmi.states import matrix_of
+
+
+class QuadratureNotConverged(ProjmiError):
+    """Adaptive quadrature could not reach the requested accuracy."""
+
 
 _QUAD_ABS_TOL = 1e-10
 _QUAD_ACCEPT = 1e-8

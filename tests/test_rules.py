@@ -1,10 +1,10 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
 eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff;
-so has the seed range. These tests pin the shared behaviour at every site
-that applies a rule, and guard against copies of the rules reappearing in
-other modules. Threads are started by the Monte Carlo engine only, no module
-reads the environment or imports scipy, and the block and group sizes of the
-engine are spelled BLOCK and GROUP."""
+so have the seed range and the derivation of random streams. These tests pin
+the shared behaviour at every site that applies a rule, and guard against
+copies of the rules reappearing in other modules. Threads are started by the
+Monte Carlo engine only, no module reads the environment or imports scipy,
+and the block and group sizes of the engine are spelled BLOCK and GROUP."""
 
 import os
 import re
@@ -131,6 +131,10 @@ CONFINED = {
     # The engine calls every integrand one way, so it reads no signature.
     "signature probe": (r"\binspect\b", 'return "start" in inspect.signature(batch_f).parameters',
                         set()),
+    # Every stream is a child of SeedSequence(seed), derived in states only.
+    "stream derivation": (r"SeedSequence|default_rng|generate_state",
+                          "return np.random.default_rng(np.random.SeedSequence([seed, index]))",
+                          {"states.py"}),
     # The standard error has one path, from group totals.
     "row-margin design": (r"\b_margins\b|_design_counts|_INCIDENCE",
                           "margins, (counts, q) = _margins(e, rows), _design_counts(m)", set()),

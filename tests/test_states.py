@@ -321,6 +321,33 @@ class TestMakeState:
             pm.maximally_entangled(2)
 
 
+class TestSeedScheme:
+    """Every stream is a child of SeedSequence(seed): the seeded states draw
+    from its own stream, block k of a Monte Carlo run from its spawn child k."""
+
+    SEEDS = (0, 1, 7, 2**32 + 5, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_zero_does_not_replay_the_state_stream(self, seed):
+        block = pm.substream(seed, 0).standard_normal(200)
+        state = np.random.default_rng(seed).standard_normal(200)
+        assert not np.any(block == state)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_k_is_spawn_child_k(self, seed):
+        children = np.random.SeedSequence(seed).spawn(3)
+        for k, child in enumerate(children):
+            expected = np.random.default_rng(child).standard_normal(50)
+            assert np.array_equal(pm.substream(seed, k).standard_normal(50), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_product_draws_a_then_b_from_one_stream(self, seed):
+        g = np.random.default_rng(seed)
+        a, b = pm.mixed_random(3, 3, g), pm.mixed_random(4, 4, g)
+        expected = pm.validate_density(pm.tensor(a, b)).matrix
+        assert np.array_equal(pm.make_state("product:a.n=3,b.n=4", seed=seed).matrix, expected)
+
+
 class TestHermitianOperator:
     def test_accepts_hermitian(self):
         rng = np.random.default_rng(2)
@@ -332,8 +359,9 @@ class TestHermitianOperator:
             pm.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# make_state matrices at seed 0, recorded before the spec parser was rewritten;
-# the parser must still build these states bit for bit.
+# make_state matrices at seed 0, recorded before the spec parser was rewritten
+# (the product entries again when its factors came to share one stream); the
+# parser must still build these states bit for bit.
 PINS = Path(__file__).resolve().parent / "data" / "make_state_pins.npz"
 PINNED_SPECS = [
     "maxent:d=3",
