@@ -36,6 +36,7 @@ from .states import (
     DensityMatrix,
     assemble,
     build_state,
+    require_dim,
     require_seed,
     spectral,
     vn_mutual_information,
@@ -103,9 +104,9 @@ def _pure_vector(sigma: DensityMatrix) -> np.ndarray:
 # methods of one call share one engine run (see _evaluate). Other entries look
 # their estimator up when called, so a patched module global takes effect.
 _ENTROPY_METHODS = {
-    "canonical-mu": lambda sigma, cfg: differential_entropy_mu(sigma, cfg),
-    "gaussian-overlap": lambda sigma, cfg: pure_state_entropy_gaussian(_pure_vector(sigma), cfg),
-    "von-neumann": lambda sigma, cfg: von_neumann_entropy(sigma),
+    "canonical-mu": lambda sigma, _, cfg: differential_entropy_mu(sigma, cfg),
+    "gaussian-overlap": lambda sigma, _, cfg: pure_state_entropy_gaussian(_pure_vector(sigma), cfg),
+    "von-neumann": lambda sigma, _, cfg: von_neumann_entropy(sigma),
 }
 
 _MI_METHODS = {
@@ -172,27 +173,28 @@ def _elapsed_ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
 
-def cmd_entropy(args) -> int:
-    start = time.perf_counter()
-    sigma, _ = resolve_state(args.state, args.seed, args.tol)
+def _emit_method(args, table: dict, sigma, dims, start: float) -> int:
+    """Emit the one record of ``args.method`` of ``table``, timed from ``start``."""
     cfg = SamplerConfig(args.seed, args.samples)
-    value = _ENTROPY_METHODS[args.method](sigma, cfg)
+    ((value, _),) = _evaluate(table, [args.method], sigma, dims, cfg)
     (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
     _emit(args.out, record, [record])
     return 0
+
+
+def cmd_entropy(args) -> int:
+    start = time.perf_counter()
+    sigma, _ = resolve_state(args.state, args.seed, args.tol)
+    return _emit_method(args, _ENTROPY_METHODS, sigma, None, start)
 
 
 def cmd_mi(args) -> int:
     start = time.perf_counter()
     sigma, split = resolve_state(args.state, args.seed, args.tol)
     dims = _require_dims(args, split)
-    cfg = SamplerConfig(args.seed, args.samples)
     if args.method != "all":
-        ((value, _),) = _evaluate(_MI_METHODS, [args.method], sigma, dims, cfg)
-        (record,) = _records(args, {args.method: value}, _elapsed_ms(start))
-        _emit(args.out, record, [record])
-        return 0
-    report = mi_report(sigma, dims, cfg)
+        return _emit_method(args, _MI_METHODS, sigma, dims, start)
+    report = mi_report(sigma, dims, SamplerConfig(args.seed, args.samples))
     runtime_ms = _elapsed_ms(start)
     estimates = {"projective": report.projective, "gaussian": report.gaussian}
     payload = {
@@ -226,9 +228,9 @@ def _parse_d_range(text: str) -> list[int]:
             values = [int(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
         raise BadParameter(f"--d-range expects LO:HI or a comma list, got {text!r}") from exc
-    if not values or any(d < 3 for d in values):
-        raise BadParameter(f"every d in --d-range must be >= 3, got {text!r}")
-    return values
+    if not values:
+        raise BadParameter(f"--d-range {text!r} is empty")
+    return [require_dim(d, "every d in --d-range") for d in values]
 
 
 def cmd_sweep(args) -> int:

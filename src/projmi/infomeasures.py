@@ -26,18 +26,13 @@ y, so E_y[W^k | x] = k! a(x)^k / (d_b)_k. The paper's integrands are
 unchanged, only the way their sample mean is formed
 (``montecarlo._estimate``).
 
-The estimators run on the engine's crossed design: each drawn x row is
-paired with GROUP y rows of its group and each y row with GROUP x rows
-(``montecarlo``), and the standard error and the control fit come from the
-totals of each group's pairs, which counts the correlation of pairs that
-share a row. A block of the MI integrand makes one
-pass over each factor's raw rows: it builds the real coordinates of x x^dag
-and y y^dag once (``projective.hermitian_features``) and reads the squared
-radii and both marginal densities from them once per row, and the Gram-form
-joint density of each group's GROUP x GROUP pairs from one batched product
-(``_ray_densities``), without normalising a row. log2 of W is then taken
-once per pair and log2 of a and b once per row, and the terms of x alone or
-y alone are laid out by pair rather than recomputed.
+The MI integrand runs on the engine's crossed pairs (``montecarlo``). A
+block makes one pass over each factor's raw rows: the real coordinates of
+x x^dag and y y^dag (``projective.hermitian_features``) give the squared
+radii and both marginal densities once per row and the Gram-form joint
+density of every pair (``_ray_densities``), with no row normalised. log2 W
+is taken once per pair, log2 a and log2 b once per row, and the terms of one
+factor alone are laid out by pair rather than recomputed.
 """
 
 from __future__ import annotations
@@ -50,12 +45,11 @@ import numpy as np
 from .constants import DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E
 from .errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from .montecarlo import (
-    GROUP,
     MCEstimate,
     SamplerConfig,
     gaussian_expectation,
     gaussian_pair_expectation,
-    group_pairs,
+    group_products,
     integrate_mu,
     integrate_product_nu,  # unused here; bound for perfbench's tracer
     pair_index,
@@ -65,7 +59,6 @@ from .projective import (
     LiouvilleDensity,
     ProjectivePoint,
     eigenfactor,
-    factored_density,
     hermitian_features,
     liouville_density,
     real_coordinates,
@@ -112,22 +105,15 @@ class JointDensity:
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Density <x (x) y| sigma |x (x) y> per row pair, clamped at 0; rows
         need not be normalized."""
-        if xs.shape[1:] != (self.dims.dim_a,) or ys.shape[1:] != (self.dims.dim_b,):
-            raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
-                                    f"(m, {self.dims.dim_a}), (m, {self.dims.dim_b})")
+        self.dims.require_pairs(xs, ys)
         w = np.einsum("fm,fm->m", self._gram @ hermitian_features(xs), hermitian_features(ys))
         return np.maximum(w, 0.0, out=w)
 
     def eval_groups(self, features_x: np.ndarray, features_y: np.ndarray) -> np.ndarray:
-        """Density of every pair of each group of GROUP rows x and GROUP rows
-        y, in the engine's group order (``montecarlo.group_pairs``), from
-        the ``hermitian_features`` of rows of any norm, clamped at 0: one
-        GEMM S g_x per row, then one (GROUP, d_b^2) x (d_b^2, GROUP) product
-        per group, batched."""
-        f = len(features_y)
-        table = np.matmul((self._gram @ features_x).reshape(f, -1, GROUP).transpose(1, 2, 0),
-                          features_y.reshape(f, -1, GROUP).transpose(1, 0, 2))
-        w = group_pairs(table)
+        """Density of every pair of a two-factor block in group order, clamped
+        at 0, from the ``hermitian_features`` of its rows of any norm: one GEMM
+        S g_x per row, then ``montecarlo.group_products``."""
+        w = group_products(self._gram @ features_x, features_y)
         return np.maximum(w, 0.0, out=w)
 
 
@@ -219,9 +205,10 @@ def pure_state_entropy_gaussian(psi: np.ndarray, cfg: SamplerConfig) -> MCEstima
     """Entropy from unnormalized overlaps: -E[ |<psi|x>|^2 log2 |<psi|x>|^2 ]
     over raw Gaussian x. Converges to the same constant for every unit psi
     and every dimension."""
-    factor = ProjectivePoint(psi).vector.conj()[:, None]  # validates a unit vector
+    point = ProjectivePoint(psi)  # validates a unit vector
+    density = liouville_density(DensityMatrix(point.projector()))
     est = gaussian_expectation(
-        len(factor), cfg, batch_f=lambda xs, start: _entropy_terms(factored_density(xs, factor))
+        point.dim, cfg, batch_f=lambda xs, start: _entropy_terms(density.eval_batch(xs))
     )
     return replace(est, method="entropy_gaussian")
 
@@ -504,8 +491,7 @@ def maxent_mi_closed_form(d: int) -> float:
     """log2 d + 2 + (2 - 2 gamma) log2 e: the closed-form combination of the
     constant-marginal entropy log2 d with the Gaussian-overlap pure-state
     constant, for a maximally entangled state on a d x d split."""
-    if d < 3:
-        raise BadParameter(f"closed form needs d >= 3, got {d}")
+    BipartiteDims(d, d)  # validates d
     return float(np.log2(d)) + 2.0 + (2.0 - 2.0 * EULER_GAMMA) * LOG2_E
 
 
@@ -519,7 +505,10 @@ class MIReport:
     when the projective mean is resolved beyond 5 standard errors and above
     the double-precision floor (a product state's integrand cancels to
     rounding residue whose tiny spread would otherwise count as "resolved").
-    No target value for the ratio is asserted anywhere.
+    For every state the gaussian mean is 4 times the projective one: per pair
+    the gaussian integrand is r_x^2 r_y^2 / (d_a d_b) times the projective
+    one, and the radii, independent of the rays, have E[r_x^2 r_y^2] = 4 d_a
+    d_b. The ratio reported is the one measured on the draw.
     """
 
     projective: MCEstimate

@@ -18,6 +18,17 @@ from .errors import BadParameter
 from .states import DensityMatrix, SeparableMixture, validate_density
 
 
+def _fields(data, keys: tuple, label: str) -> tuple:
+    """The values of ``keys`` in the JSON object ``data``; BadParameter,
+    naming ``label``, if it is not an object or lacks one of them."""
+    if not isinstance(data, dict):
+        raise BadParameter(f"{label}: expected a JSON object")
+    missing = set(keys) - data.keys()
+    if missing:
+        raise BadParameter(f"{label}: missing keys {sorted(missing)}")
+    return tuple(data[key] for key in keys)
+
+
 def _matrix_from_parts(re, im, label: str) -> np.ndarray:
     try:
         real = np.array(re, dtype=float)
@@ -35,12 +46,7 @@ def _matrix_from_parts(re, im, label: str) -> np.ndarray:
 
 def state_from_dict(data: dict, *, tol: float = VALIDATION_TOL, label: str = "state"):
     """Parse one state object; returns (DensityMatrix, (dim_a, dim_b) | None)."""
-    if not isinstance(data, dict):
-        raise BadParameter(f"{label}: expected a JSON object")
-    missing = {"re", "im"} - data.keys()
-    if missing:
-        raise BadParameter(f"{label}: missing keys {sorted(missing)}")
-    matrix = _matrix_from_parts(data["re"], data["im"], label)
+    matrix = _matrix_from_parts(*_fields(data, ("re", "im"), label), label)
     raw = data.get("dims")
     if raw is None:
         return validate_density(matrix, tol=tol), None
@@ -66,8 +72,7 @@ def state_to_dict(sigma: DensityMatrix, dims=None) -> dict:
 
 def load_state(path, *, tol: float = VALIDATION_TOL):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return state_from_dict(data, tol=tol, label=str(path))
+        return state_from_dict(json.load(fh), tol=tol, label=str(path))
 
 
 def save_state(path, sigma: DensityMatrix, dims=None):
@@ -76,22 +81,14 @@ def save_state(path, sigma: DensityMatrix, dims=None):
 
 
 def mixture_from_dict(data: dict, *, tol: float = VALIDATION_TOL) -> SeparableMixture:
-    if not isinstance(data, dict):
-        raise BadParameter("mixture: expected a JSON object")
-    missing = {"weights", "components"} - data.keys()
-    if missing:
-        raise BadParameter(f"mixture: missing keys {sorted(missing)}")
-    weights = data["weights"]
-    components = data["components"]
+    weights, components = _fields(data, ("weights", "components"), "mixture")
     if not isinstance(weights, list) or not isinstance(components, list):
         raise BadParameter("mixture: 'weights' and 'components' must be lists")
     pairs = []
     for i, entry in enumerate(components):
-        if not isinstance(entry, dict) or {"a", "b"} - entry.keys():
-            raise BadParameter(f"mixture component {i}: expected keys 'a' and 'b'")
-        a, _ = state_from_dict(entry["a"], tol=tol, label=f"component {i} 'a'")
-        b, _ = state_from_dict(entry["b"], tol=tol, label=f"component {i} 'b'")
-        pairs.append((a, b))
+        a, b = _fields(entry, ("a", "b"), f"mixture component {i}")
+        pairs.append((state_from_dict(a, tol=tol, label=f"component {i} 'a'")[0],
+                      state_from_dict(b, tol=tol, label=f"component {i} 'b'")[0]))
     return SeparableMixture(tuple(weights), tuple(pairs))
 
 
@@ -107,8 +104,7 @@ def mixture_to_dict(mixture: SeparableMixture) -> dict:
 
 def load_mixture(path, *, tol: float = VALIDATION_TOL) -> SeparableMixture:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return mixture_from_dict(data, tol=tol)
+        return mixture_from_dict(json.load(fh), tol=tol)
 
 
 def save_mixture(path, mixture: SeparableMixture):

@@ -153,9 +153,13 @@ def pair_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[ix], ys[iy]
 
 
-def group_pairs(table: np.ndarray) -> np.ndarray:
-    """The values of a block's pairs in group order from the (groups, GROUP,
-    GROUP) table of each group's values indexed by x row, then y row."""
+def group_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_f left[f, i] right[f, j] for the x row i and the y row j of each
+    pair of a two-factor block in group order, from (f, rows) coordinates of
+    its rows: one (GROUP, f) x (f, GROUP) product per group, batched."""
+    f = len(right)
+    table = np.matmul(left.reshape(f, -1, GROUP).transpose(1, 2, 0),
+                      right.reshape(f, -1, GROUP).transpose(1, 0, 2))
     return table[:, _X_ROW, _Y_ROW].ravel()
 
 

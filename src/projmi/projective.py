@@ -14,7 +14,7 @@ from .constants import VALIDATION_TOL
 from .errors import BadParameter, BaseMismatch, DimensionMismatch, InvalidFrame, ZeroVector
 from .states import (
     DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff, require_hermitian,
-    spectral,
+    require_rows, spectral,
 )
 
 _NORM_TOL = 1e-12
@@ -36,7 +36,7 @@ class ProjectivePoint:
         if v.ndim != 1:
             raise BadParameter(f"representative must be a vector, got shape {v.shape}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails '<=' too
             raise BadParameter(
                 f"representative must be unit norm within {_NORM_TOL:.0e}, got {norm!r}; "
                 "use project() for arbitrary vectors"
@@ -70,6 +70,8 @@ def project(x) -> ProjectivePoint:
     """Canonical projection of a nonzero vector to its ray."""
     v = np.asarray(x, dtype=complex)
     norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise BadParameter(f"cannot project a vector of non-finite norm {norm}")
     if norm <= _NORM_TOL:
         raise ZeroVector(f"cannot project a vector of norm {norm:.3e}")
     return ProjectivePoint(v / norm)
@@ -100,13 +102,6 @@ def eigenfactor(sigma: DensityMatrix) -> np.ndarray:
     vals, vecs = spectral(np.linalg.eigh, m)
     keep = vals > rank_cutoff(vals)
     return np.ascontiguousarray(vecs[:, keep].conj() * np.sqrt(vals[keep]))
-
-
-def factored_density(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """||x F||^2 for each row x of ``rows``, the density of the state with
-    eigenfactor F: real and non-negative by construction."""
-    amp = (rows @ factor).view(float)
-    return np.einsum("bi,bi->b", amp, amp)
 
 
 def hermitian_features(z: np.ndarray) -> np.ndarray:
@@ -160,10 +155,10 @@ class LiouvilleDensity:
         return float(self.eval_batch(p.vector[None, :])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Density per row of ``points``; rows need not be normalized."""
-        if points.shape[1:] != (self.source.dim,):
-            raise DimensionMismatch(f"batch shape {points.shape} != (m, {self.source.dim})")
-        return factored_density(points, self._factor)
+        """Density ||x F||^2 per row x of any norm, non-negative by construction."""
+        require_rows(points, self.source.dim)
+        amp = (points @ self._factor).view(float)
+        return np.einsum("bi,bi->b", amp, amp)
 
     def eval_features(self, features: np.ndarray) -> np.ndarray:
         """<x|s|x> per column of the (d^2, m) ``hermitian_features`` of rows
@@ -193,8 +188,7 @@ class ObservableFunction:
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         a = self.operator.matrix
-        if points.shape[1:] != (self.operator.dim,):
-            raise DimensionMismatch(f"batch shape {points.shape} != (m, {self.operator.dim})")
+        require_rows(points, self.operator.dim)
         quad = quadratic_form(points, a).real
         return self.kappa * quad - np.trace(a).real
 
@@ -257,9 +251,7 @@ class TangentVector:
     generator: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.generator, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"generator must be square, got shape {a.shape}")
+        a = matrix_of(self.generator)
         if a.shape[0] != self.base.dim:
             raise DimensionMismatch(
                 f"generator dim {a.shape[0]} != base dim {self.base.dim}"
@@ -315,6 +307,8 @@ def segre(p_a: ProjectivePoint, p_b: ProjectivePoint) -> ProjectivePoint:
 def schrodinger_flow(p: ProjectivePoint, hamiltonian, t: float) -> ProjectivePoint:
     """Evolve a point by exp(-iHt) computed from the eigendecomposition of H;
     exact up to roundoff at any t."""
+    if not np.isfinite(t):
+        raise BadParameter(f"time t must be finite, got {t!r}")
     h = matrix_of(hamiltonian)
     if h.shape[0] != p.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.shape[0]} != point dim {p.dim}")

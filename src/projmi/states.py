@@ -56,6 +56,19 @@ def require_seed(seed, what: str = "seed") -> int:
     return seed
 
 
+def require_dim(d: int, what: str) -> int:
+    """``d``; BadParameter, naming ``what``, unless it is a subsystem dimension (>= 3)."""
+    if d < 3:
+        raise BadParameter(f"{what} must be >= 3, got {d!r}")
+    return d
+
+
+def require_rows(points: np.ndarray, dim: int):
+    """Raise DimensionMismatch unless ``points`` is an (m, dim) batch of rows."""
+    if points.shape[1:] != (dim,):
+        raise DimensionMismatch(f"batch shape {points.shape} != (m, {dim})")
+
+
 def spectral(solve, m: np.ndarray):
     """``solve(m)`` for a numpy eigensolver (``np.linalg.eigh`` or ``eigvalsh``),
     with numpy's LinAlgError raised as EigenDecompositionFailure."""
@@ -128,16 +141,14 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class BipartiteDims:
-    """Subsystem dimensions of a bipartite split; both factors must be >= 3."""
+    """Subsystem dimensions of a bipartite split (``require_dim``)."""
 
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
-        if self.dim_a < 3 or self.dim_b < 3:
-            raise BadParameter(
-                f"both subsystem dimensions must be >= 3, got ({self.dim_a}, {self.dim_b})"
-            )
+        for d in self:
+            require_dim(d, f"each dimension of the split ({self.dim_a}, {self.dim_b})")
 
     def __iter__(self):
         return iter((self.dim_a, self.dim_b))
@@ -150,6 +161,12 @@ class BipartiteDims:
         """Raise DimensionMismatch unless a state of dimension ``n`` fits this split."""
         if n != self.joint:
             raise DimensionMismatch(f"state dimension {n} != dim_a*dim_b = {self.joint}")
+
+    def require_pairs(self, xs: np.ndarray, ys: np.ndarray):
+        """Raise DimensionMismatch unless ``xs``, ``ys`` are m rows of widths dim_a, dim_b."""
+        if xs.shape[1:] != (self.dim_a,) or ys.shape != (len(xs), self.dim_b):
+            raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
+                                    f"(m, {self.dim_a}), (m, {self.dim_b})")
 
 
 def matrix_of(operator) -> np.ndarray:
@@ -230,8 +247,7 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 def maximally_entangled(d: int) -> DensityMatrix:
     """|Phi><Phi| with |Phi> = d^(-1/2) sum_i |i>|i> on a d x d split."""
-    if d < 3:
-        raise BadParameter(f"maximally entangled family needs d >= 3, got {d}")
+    require_dim(d, "maximally entangled d")
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     return DensityMatrix(np.outer(phi, phi.conj()))

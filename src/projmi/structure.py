@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .projective import ProjectivePoint, quadratic_form
 from .states import BipartiteDims, SeparableMixture, matrix_of, partial_trace, spectral, tensor
 
@@ -24,10 +23,7 @@ class RestrictedDensity:
     def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Density per row pair, summed component by component with
         ``quadratic_form`` (an independent reference for the joint kernel)."""
-        dims = self.mixture.dims
-        if xs.shape[1:] != (dims.dim_a,) or ys.shape[1:] != (dims.dim_b,):
-            raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "
-                                    f"(m, {dims.dim_a}), (m, {dims.dim_b})")
+        self.mixture.dims.require_pairs(xs, ys)
         total = np.zeros(xs.shape[0])
         for w, (a, b) in zip(self.mixture.weights, self.mixture.components):
             va = quadratic_form(xs, a.matrix).real

@@ -394,7 +394,53 @@ class TestReproducibility:
         assert stripped == stripped2
 
 
+VN = ("--method", "von-neumann")
+SWEEP = ("sweep", "--family", "maxent", "--d-range", "3")
+STATE = {"re": [[1.0]], "im": [[0.0]]}
+
+
 class TestUsageErrors:
+    # (argv, the JSON that {path} holds, text of the message): each reaches
+    # one usage-error check through a flag or a file.
+    BRANCHES = {
+        "--dims count": (("mi", "--state", "mixed_random:n=9", "--dims", "3", *VN), None,
+                         "--dims expects NA,NB"),
+        "--dims integers": (("mi", "--state", "mixed_random:n=9", "--dims", "3,a", *VN), None,
+                            "--dims expects integers"),
+        "--d-range integers": (("sweep", "--family", "maxent", "--d-range", "3:x", *VN), None,
+                               "--d-range expects LO:HI or a comma list"),
+        "--d-range empty": (("sweep", "--family", "maxent", "--d-range", "5:3", *VN), None,
+                            "--d-range '5:3' is empty"),
+        "unknown sweep method": ((*SWEEP, "--method", "bogus"), None, "unknown sweep method(s)"),
+        "no sweep method": ((*SWEEP, "--method", ","), None, "sweep needs at least one method"),
+        "non-numeric state": (("entropy", "--state", "file:{path}", *VN),
+                              {"re": [["a"]], "im": [[0]]}, "'re'/'im' must be numeric arrays"),
+        "state not an object": (("entropy", "--state", "file:{path}", *VN), [STATE],
+                                "expected a JSON object"),
+        "mixture not an object": (("entropy", "--state", "mixture:{path}", *VN), [],
+                                  "mixture: expected a JSON object"),
+        "mixture keys": (("entropy", "--state", "mixture:{path}", *VN), {"weights": [1.0]},
+                         "mixture: missing keys ['components']"),
+        "mixture lists": (("entropy", "--state", "mixture:{path}", *VN),
+                          {"weights": 1.0, "components": []}, "must be lists"),
+        "component not an object": (("entropy", "--state", "mixture:{path}", *VN),
+                                    {"weights": [1.0], "components": [[STATE, STATE]]},
+                                    "mixture component 0: expected a JSON object"),
+        "component keys": (("entropy", "--state", "mixture:{path}", *VN),
+                           {"weights": [1.0], "components": [{"a": STATE}]},
+                           "mixture component 0: missing keys ['b']"),
+    }
+
+    @pytest.mark.parametrize("case", BRANCHES)
+    def test_usage_branch_exits_2(self, capsys, tmp_path, case):
+        argv, content, text = self.BRANCHES[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("projmi: ") and err.count("\n") == 1
+        assert text in err
+
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "entropy", "--state", "bogus:x=1", "--method", "von-neumann"
@@ -482,6 +528,11 @@ class TestStateSpecs:
         (["entropy", "--state", "product:a.n=2,b.n=3"], 0, ""),
         (["entropy", "--state", "mixture:{mixture_2x3}"], 0, ""),
         (["mi", "--state", "mixture:{mixture_2x3}"], 2, "(2, 3)"),
+        (["entropy", "--state", "mixed_random:n=3,rank=5"], 2, "rank must be in [1, 3]"),
+        (["entropy", "--state", "separable_mixture:na=3,nb=3,components=0"], 2,
+         "at least one component"),
+        (["entropy", "--state", " "], 2, "empty state spec"),
+        (["entropy", "--state", "maxent:d"], 2, "malformed spec parameter 'd'"),
     ]
 
     @pytest.mark.parametrize(
@@ -628,6 +679,13 @@ class TestMethodTables:
                     assert not isinstance(entry(sigma, dims, cfg), pm.MCEstimate), method
         served = {entry for entry in cli._MI_METHODS.values() if isinstance(entry, str)}
         assert served == set(MI_COLUMNS)
+
+    def test_entropy_entries_take_the_table_signature(self):
+        # entropy and single-method mi share one path through _evaluate.
+        sigma, cfg = pm.maximally_entangled(3), pm.SamplerConfig(0, 100)
+        methods = list(cli._ENTROPY_METHODS)
+        values = cli._evaluate(cli._ENTROPY_METHODS, methods, sigma, None, cfg)
+        assert [type(value) for value, _ in values] == [pm.MCEstimate, pm.MCEstimate, float]
 
 
 class TestEntryPoints:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import projmi as pm
 from projmi import infomeasures, montecarlo
-from projmi.constants import EULER_GAMMA, LOG2_E
+from projmi.constants import DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
 from projmi.montecarlo import BLOCK, GROUP
@@ -113,6 +113,12 @@ class TestMarginalDensity:
             pm.marginal_density(sigma, DIMS33, integrate_out="A", mode="exactly")
         with pytest.raises(BadParameter):
             pm.marginal_density(sigma, DIMS33, integrate_out="A", mode="mc")
+
+    def test_mc_mode_point_of_the_integrated_factor_rejected(self):
+        mc = pm.marginal_density(pm.mixed_random(12, 12, 1), pm.BipartiteDims(3, 4),
+                                 integrate_out="A", mode="mc", cfg=pm.SamplerConfig(1, 100))
+        with pytest.raises(DimensionMismatch, match="point dim 3 != kept factor dim 4"):
+            mc(pm.project(np.ones(3)))
 
 
 class TestDifferentialEntropyMu:
@@ -469,6 +475,32 @@ class TestControlFit:
         est = pm.classical_like_mi_projective(product_state(), DIMS33, pm.SamplerConfig(5, 10_000))
         assert abs(est.mean) <= 4 * est.std_error + ZERO_FLOOR
 
+    def test_constant_control_gives_the_sample_mean(self, monkeypatch):
+        # A control that never varies is dropped, and with none left the
+        # estimate is the plain sample mean and SE, bit for bit.
+        fits = []
+        original = montecarlo._control_fit
+
+        def recorded(*args):
+            fits.append(original(*args))
+            return fits[-1]
+
+        def batch(xs, ys, start):
+            x, y = pm.pair_rows(xs, ys)
+            return np.square(np.abs(x)).sum(axis=1) + np.square(np.abs(y)).sum(axis=1)
+
+        def with_control(xs, ys, start):
+            return np.column_stack((batch(xs, ys, start), np.ones(GROUP * len(xs))))
+
+        monkeypatch.setattr(montecarlo, "_control_fit", recorded)
+        cfg = pm.SamplerConfig(4, montecarlo.MIN_CONTROL_SAMPLES)
+        plain = pm.gaussian_pair_expectation(3, 3, cfg, batch_f=batch)
+        (fitted,) = pm.gaussian_pair_expectation(3, 3, cfg, batch_f=with_control,
+                                                 control_means=(1.0,))
+        (fit,) = fits
+        assert (fit.kept.size, fit.rank) == (0, 0)
+        assert (fitted.mean, fitted.std_error) == (plain.mean, plain.std_error)
+
     def test_control_variates_cut_the_standard_error(self):
         # The same draws without and with the controls' exact means.
         sigma, dims = CONTROL_STATES["mixed9x9"]
@@ -644,6 +676,24 @@ class TestMiReport:
         ratio = report.ratio_gaussian_over_projective
         rel_se = np.hypot(p.std_error / p.mean, g.std_error / g.mean)
         assert abs(ratio - 4.0) <= 4.0 * ratio * rel_se
+
+
+class TestOffSupportPairs:
+    def test_off_support_pair_contributes_zero(self):
+        # On maxent 3x3, x = e_0 and y = e_1 + 4e-8 e_0 give W = 16e-16 / 3
+        # |y|^2, at most DENSITY_SUPPORT_EPS: the pair's log-ratio columns
+        # are exactly 0, and every column stays finite.
+        batch, _ = _mi_integrand(pm.maximally_entangled(3), DIMS33, MI_COLUMNS)
+        rng = np.random.default_rng(0)
+        xs, ys = (rng.standard_normal((GROUP, 6)).view(complex) for _ in range(2))
+        xs[0], ys[0] = [1, 0, 0], [4e-8, 1, 0]
+        ix, iy = montecarlo.pair_index(GROUP)
+        assert (ix[0], iy[0]) == (0, 0)
+        out = batch(xs, ys)
+        w = out[0, len(MI_COLUMNS)]  # the first control is W
+        assert 0.0 < w <= DENSITY_SUPPORT_EPS
+        assert out[0, :2].tolist() == [0.0, 0.0]  # projective, gaussian
+        assert np.isfinite(out).all()
 
 
 class TestMarginalSupportGuard:

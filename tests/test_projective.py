@@ -10,6 +10,7 @@ from projmi.errors import (
     BaseMismatch,
     DimensionMismatch,
     InvalidFrame,
+    UsageError,
     ZeroVector,
 )
 
@@ -317,3 +318,47 @@ class TestSchrodingerFlow:
         a = pm.schrodinger_flow(pm.project(x), h, 2.0)
         b = pm.schrodinger_flow(pm.project(np.exp(1.3j) * x), h, 2.0)
         assert a == b
+
+
+def _point3():
+    return pm.project(np.ones(3))
+
+
+# Non-finite input, each accepted once: a NaN fails every tolerance test
+# silently, since those compare with '>' or '<='.
+NON_FINITE = {
+    "ProjectivePoint": lambda: pm.ProjectivePoint(np.array([np.nan, 0, 0])),
+    "project": lambda: pm.project(np.array([np.inf, 1, 0])),
+    "TangentVector": lambda: pm.TangentVector(_point3(), np.full((3, 3), np.nan)),
+    "schrodinger_flow": lambda: pm.schrodinger_flow(_point3(), np.eye(3), float("nan")),
+}
+
+
+@pytest.mark.parametrize("site", NON_FINITE)
+def test_non_finite_input_is_a_usage_error(site):
+    # Each message names the non-finite value or says it is not finite.
+    with pytest.raises(UsageError, match="nan|inf|finite"):
+        NON_FINITE[site]()
+
+
+# Malformed input at each check of this module, with the error it raises.
+MALFORMED = {
+    "point from a matrix": (BadParameter, lambda: pm.ProjectivePoint(np.eye(2))),
+    "observable batch width": (
+        DimensionMismatch, lambda: pm.observable_function(np.eye(3)).eval_batch(np.ones((2, 4)))),
+    "empty frame": (InvalidFrame, lambda: pm.Frame(())),
+    "frame of two dimensions": (
+        InvalidFrame, lambda: pm.Frame((pm.project(np.ones(2)), pm.project(np.ones(3))))),
+    "non-square generator": (DimensionMismatch, lambda: pm.TangentVector(_point3(), np.ones((3, 2)))),
+    "generator of another dimension": (
+        DimensionMismatch, lambda: pm.TangentVector(_point3(), np.eye(2))),
+    "Hamiltonian of another dimension": (
+        DimensionMismatch, lambda: pm.schrodinger_flow(_point3(), np.eye(2), 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_rejected(case):
+    error, call = MALFORMED[case]
+    with pytest.raises(error):
+        call()

@@ -1,6 +1,9 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
 eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff;
-so have the seed range and the derivation of random streams. These tests pin
+so have the seed range, the derivation of random streams, the smallest
+subsystem dimension and the shape of a batch of rows. ``io`` checks a JSON
+object's keys in one place, ``montecarlo`` owns the geometry of a crossed
+group, and every density of a state is its eigenfactor's. These tests pin
 the shared behaviour at every site that applies a rule, and guard against
 copies of the rules reappearing in other modules. Threads are started by the
 Monte Carlo engine only, no module reads the environment or imports scipy,
@@ -16,8 +19,9 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import states
+from projmi import cli, states
 from projmi.errors import BadParameter, DimensionMismatch, EigenDecompositionFailure, NotHermitian
+from projmi.structure import RestrictedDensity
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projmi"
 
@@ -71,6 +75,38 @@ def test_require_seed_names_its_subject():
     assert states.require_seed(np.uint64(2**64 - 1)) == 2**64 - 1
 
 
+# Each site that takes a subsystem dimension d, called with d = 2.
+DIMENSION_SITES = {
+    "BipartiteDims": lambda: pm.BipartiteDims(3, 2),
+    "maximally_entangled": lambda: pm.maximally_entangled(2),
+    "maxent_mi_closed_form": lambda: pm.maxent_mi_closed_form(2),
+    "--d-range": lambda: cli._parse_d_range("2:4"),
+}
+
+
+@pytest.mark.parametrize("site", DIMENSION_SITES)
+def test_dimension_sites_share_one_floor(site):
+    with pytest.raises(BadParameter, match=r" must be >= 3, got 2$"):
+        DIMENSION_SITES[site]()
+
+
+def _pair_density(kind):
+    sigma, dims = pm.maximally_entangled(3), pm.BipartiteDims(3, 3)
+    if kind == "JointDensity":
+        return pm.joint_density_eval(sigma, dims)
+    return RestrictedDensity(pm.random_mixture(3, 3, 2, seed=1))
+
+
+@pytest.mark.parametrize("kind", ["JointDensity", "RestrictedDensity"])
+@pytest.mark.parametrize("xs, ys", [((5, 4), (5, 3)), ((5, 3), (5, 4)), ((5, 3), (4, 3)),
+                                    ((3,), (3,))],
+                         ids=["x width", "y width", "unequal rows", "vectors"])
+def test_pair_densities_share_one_shape_check(kind, xs, ys):
+    shapes = f"batch shapes {xs}, {ys} != (m, 3), (m, 3)"
+    with pytest.raises(DimensionMismatch, match=re.escape(shapes)):
+        _pair_density(kind).eval_batch(np.ones(xs), np.ones(ys))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -101,6 +137,9 @@ RULES = {
     "joint-dimension message": (re.escape("dim_a*dim_b"), 'f"{n} != dim_a*dim_b = {joint}"'),
     "numerical-rank cutoff": (r"np\.finfo\(float\)\.eps", "vals[-1] * n * np.finfo(float).eps"),
     "seed range": (r"2\*\*64|1 << 64", "if not 0 <= args.seed < 2**64:"),
+    "subsystem-dimension floor": (r"[<>]=? ?3\b", "if not values or any(d < 3 for d in values):"),
+    "batch-shape message": (r"batch shapes?\b",
+                            'raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "'),
 }
 
 
@@ -138,6 +177,14 @@ CONFINED = {
     # The standard error has one path, from group totals.
     "row-margin design": (r"\b_margins\b|_design_counts|_INCIDENCE",
                           "margins, (counts, q) = _margins(e, rows), _design_counts(m)", set()),
+    # A crossed group's size and the order of its pairs.
+    "group geometry": (r"\bGROUP\b|_X_ROW|_Y_ROW",
+                       "table = np.matmul(g_x.reshape(f, -1, GROUP), g_y.reshape(f, GROUP, -1))",
+                       {"montecarlo.py"}),
+    # A state's density on rays is ||x F||^2 for its eigenfactor F
+    # (projective.LiouvilleDensity); no caller builds F by hand.
+    "hand-built eigenfactor": (r"factored_density|conj\(\)\[:, None\]",
+                               "factor = ProjectivePoint(psi).vector.conj()[:, None]", set()),
 }
 
 
@@ -147,6 +194,29 @@ def test_confined_spellings(rule):
     assert re.search(pattern, example)
     found = {path.name for path in SRC.glob("*.py") if re.search(pattern, path.read_text())}
     assert found <= owners
+
+
+# Spellings that one line of the package may hold, each with a line of a
+# former copy that the pattern must catch: io reads a JSON object's keys in
+# one helper.
+ONCE = {
+    "JSON-object message": (r"expected a JSON object",
+                            'raise BadParameter("mixture: expected a JSON object")'),
+    "JSON-object test": (r"isinstance\(\w+, dict\)", "if not isinstance(entry, dict):"),
+}
+
+
+@pytest.mark.parametrize("rule", ONCE)
+def test_spelled_once(rule):
+    pattern, former_copy = ONCE[rule]
+    assert re.search(pattern, former_copy)
+    found = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(pattern, line)
+    ]
+    assert len(found) == 1, found
 
 
 def test_every_module_imports_without_scipy():

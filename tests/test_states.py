@@ -137,6 +137,10 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             pm.partial_trace(np.eye(8) / 8, self.dims, "A")
 
+    def test_unknown_subsystem_rejected(self):
+        with pytest.raises(BadParameter, match="keep must be 'A' or 'B'"):
+            pm.partial_trace(pm.maximally_entangled(3), self.dims, "C")
+
 
 class TestEntropy:
     def test_pure_state_zero(self):
