@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 import time
 
@@ -37,6 +36,8 @@ from .states import (
     assemble,
     build_state,
     require_dim,
+    require_finite,
+    require_int,
     require_seed,
     spectral,
     vn_mutual_information,
@@ -49,9 +50,7 @@ def _parse_samples(text: str) -> int:
         value = float(text)
     except ValueError as exc:
         raise BadParameter(f"--samples must be a number, got {text!r}") from exc
-    if not math.isfinite(value) or value != int(value) or value < 2:
-        raise BadParameter(f"--samples must be an integer >= 2, got {text!r}")
-    return int(value)
+    return require_int(int(value) if value.is_integer() else value, "--samples", 2)
 
 
 def _parse_dims(text: str) -> BipartiteDims:
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="projmi",
         description="Projective-space entropies and mutual information of quantum states.",
     )
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_entropy = sub.add_parser("entropy", help="differential or spectral entropy of a state")
     p_entropy.add_argument("--state", required=True, help="state spec, e.g. maxent:d=3")
@@ -317,15 +316,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_help(file=sys.stderr)
-        return 2
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed flag, 0 after --help
+        return exc.code
     keep_freed_memory()
     try:
         args.samples = _parse_samples(args.samples)
-        if not args.tol >= 0.0:
-            raise BadParameter(f"--tol must be a number >= 0, got {args.tol!r}")
+        args.tol = require_finite(args.tol, "--tol", 0)
         require_seed(args.seed, "--seed")
         if args.out is None:
             args.out = args.default_out

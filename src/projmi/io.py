@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import VALIDATION_TOL
 from .errors import BadParameter
-from .states import DensityMatrix, SeparableMixture, validate_density
+from .states import DensityMatrix, SeparableMixture, require_int, validate_density
 
 
 def _fields(data, keys: tuple, label: str) -> tuple:
@@ -50,10 +50,9 @@ def state_from_dict(data: dict, *, tol: float = VALIDATION_TOL, label: str = "st
     raw = data.get("dims")
     if raw is None:
         return validate_density(matrix, tol=tol), None
-    if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2) or not all(
-        type(d) is int and d > 0 for d in raw
-    ):
+    if not isinstance(raw, (list, tuple)) or len(raw) not in (1, 2):
         raise BadParameter(f"{label}: 'dims' must be a list of one or two positive integers")
+    raw = [require_int(d, f"{label}: each entry of 'dims'", 1) for d in raw]
     if math.prod(raw) != matrix.shape[0]:
         raise BadParameter(
             f"{label}: dims {raw} imply dimension {math.prod(raw)}, matrix is {matrix.shape[0]}"

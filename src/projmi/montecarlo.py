@@ -45,7 +45,6 @@ the blocks already running have finished; the others never start.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -60,7 +59,7 @@ from .errors import (
 )
 from .native import single_blas_thread
 from .states import (
-    DensityMatrix, rank_cutoff, require_seed, spectral, substream, validate_density,
+    DensityMatrix, rank_cutoff, require_int, require_seed, spectral, substream, validate_density,
 )
 
 # Samples per block. Fixed, so that the stream and the standard error depend
@@ -97,9 +96,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         require_seed(self.seed)
-        n = self.n_samples
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise BadParameter(f"n_samples must be an integer >= 2, got {n!r}")
+        require_int(self.n_samples, "n_samples", 2)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ import numpy as np
 from .constants import VALIDATION_TOL
 from .errors import BadParameter, BaseMismatch, DimensionMismatch, InvalidFrame, ZeroVector
 from .states import (
-    DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff, require_hermitian,
-    require_rows, spectral,
+    DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff, require_finite,
+    require_hermitian, require_rows, spectral,
 )
 
 _NORM_TOL = 1e-12
@@ -69,12 +69,15 @@ class ProjectivePoint:
 def project(x) -> ProjectivePoint:
     """Canonical projection of a nonzero vector to its ray."""
     v = np.asarray(x, dtype=complex)
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm):
-        raise BadParameter(f"cannot project a vector of non-finite norm {norm}")
-    if norm <= _NORM_TOL:
-        raise ZeroVector(f"cannot project a vector of norm {norm:.3e}")
-    return ProjectivePoint(v / norm)
+    # Scaled to a largest entry of 1, the norm neither overflows nor underflows.
+    scale = float(np.abs(v).max(initial=0.0))
+    if not np.isfinite(scale):
+        raise BadParameter(f"cannot project a vector with non-finite entry {scale}")
+    unit = v / scale if scale else v
+    norm = float(np.linalg.norm(unit))
+    if scale * norm <= _NORM_TOL:
+        raise ZeroVector(f"cannot project a vector of norm {scale * norm:.3e}")
+    return ProjectivePoint(unit / norm)
 
 
 def fs_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
@@ -307,8 +310,7 @@ def segre(p_a: ProjectivePoint, p_b: ProjectivePoint) -> ProjectivePoint:
 def schrodinger_flow(p: ProjectivePoint, hamiltonian, t: float) -> ProjectivePoint:
     """Evolve a point by exp(-iHt) computed from the eigendecomposition of H;
     exact up to roundoff at any t."""
-    if not np.isfinite(t):
-        raise BadParameter(f"time t must be finite, got {t!r}")
+    t = require_finite(t, "time t")
     h = matrix_of(hamiltonian)
     if h.shape[0] != p.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.shape[0]} != point dim {p.dim}")

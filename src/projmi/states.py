@@ -48,19 +48,34 @@ def require_hermitian(a: np.ndarray, tol: float = VALIDATION_TOL, what: str = "m
         )
 
 
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; BadParameter, naming ``what``, unless it is an
+    integer, not a bool, that is at least ``low`` and below ``high``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or high is not None and value >= high):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise BadParameter(f"{what} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def require_finite(value, what: str, low: float = -math.inf) -> float:
+    """``value`` as a float; BadParameter, naming ``what``, unless it is a
+    finite real number, not a bool, that is at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < low):
+        span = "" if low == -math.inf else f" >= {low}"
+        raise BadParameter(f"{what} must be a finite number{span}, got {value!r}")
+    return float(value)
+
+
 def require_seed(seed, what: str = "seed") -> int:
-    """``seed``; BadParameter, naming ``what``, unless it is an integer (not
-    a bool) in [0, 2^64), one 64-bit word of numpy's SeedSequence."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise BadParameter(f"{what} must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+    """``seed`` as an int in [0, 2^64), one 64-bit word of numpy's SeedSequence."""
+    return require_int(seed, what, 0, 2**64)
 
 
-def require_dim(d: int, what: str) -> int:
-    """``d``; BadParameter, naming ``what``, unless it is a subsystem dimension (>= 3)."""
-    if d < 3:
-        raise BadParameter(f"{what} must be >= 3, got {d!r}")
-    return d
+def require_dim(d, what: str) -> int:
+    """``d`` as a subsystem dimension, an integer >= 3 (``require_int``)."""
+    return require_int(d, what, 3)
 
 
 def require_rows(points: np.ndarray, dim: int):
@@ -183,6 +198,7 @@ def validate_density(m, *, tol: float = VALIDATION_TOL) -> DensityMatrix:
     matrix from its clamped spectrum. The result is a fixed point: validating
     it again returns it bit for bit.
     """
+    tol = require_finite(tol, "tol", 0)
     a = _as_square_matrix(m)
     require_hermitian(a, tol)
     h = (a + a.conj().T) / 2
@@ -237,6 +253,7 @@ def vn_mutual_information(sigma, dims: BipartiteDims) -> float:
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
+    n = require_int(n, "dimension n", 1)
     g = _rng(rng)
     z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -255,8 +272,8 @@ def maximally_entangled(d: int) -> DensityMatrix:
 
 def basis_pure(n: int, index: int) -> DensityMatrix:
     """Projector onto computational basis vector |index> in dimension n."""
-    if not 0 <= index < n:
-        raise BadParameter(f"basis index {index} out of range for dimension {n}")
+    n = require_int(n, "dimension n", 1)
+    index = require_int(index, "basis index", 0, n)
     m = np.zeros((n, n), dtype=complex)
     m[index, index] = 1.0
     return DensityMatrix(m)
@@ -264,8 +281,7 @@ def basis_pure(n: int, index: int) -> DensityMatrix:
 
 def pure_random(n: int, seed=0) -> DensityMatrix:
     """Rank-1 projector onto a normalized standard complex Gaussian vector."""
-    if n < 1:
-        raise BadParameter(f"dimension n must be >= 1, got {n}")
+    n = require_int(n, "dimension n", 1)
     g = _rng(seed)
     x = g.standard_normal(n) + 1j * g.standard_normal(n)
     x /= np.linalg.norm(x)
@@ -274,11 +290,8 @@ def pure_random(n: int, seed=0) -> DensityMatrix:
 
 def mixed_random(n: int, rank: int | None = None, seed=0) -> DensityMatrix:
     """GG^dag / tr(GG^dag) for an n x rank standard complex Gaussian factor G."""
-    if n < 1:
-        raise BadParameter(f"dimension n must be >= 1, got {n}")
-    r = n if rank is None else rank
-    if not 1 <= r <= n:
-        raise BadParameter(f"rank must be in [1, {n}], got {r}")
+    n = require_int(n, "dimension n", 1)
+    r = require_int(n if rank is None else rank, "rank", 1, n + 1)
     g = _rng(seed)
     factor = g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))
     m = factor @ factor.conj().T
@@ -300,11 +313,7 @@ class SeparableMixture:
     components: tuple
 
     def __post_init__(self):
-        weights = tuple(self.weights)
-        if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w)
-                   for w in weights):
-            raise BadParameter(f"mixture weights must be finite numbers, got {list(weights)!r}")
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(require_finite(w, "each mixture weight", 0) for w in self.weights)
         components = tuple((a, b) for a, b in self.components)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
@@ -313,8 +322,6 @@ class SeparableMixture:
                 f"need equal nonzero counts of weights and components, "
                 f"got {len(weights)} and {len(components)}"
             )
-        if any(w < 0.0 for w in weights):
-            raise BadParameter("mixture weights must be nonnegative")
         total = sum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise BadParameter(f"mixture weights sum to {total!r}, not 1")
@@ -345,8 +352,7 @@ def random_mixture(
     seed=0,
 ) -> SeparableMixture:
     """Random separable mixture with Dirichlet weights and mixed components."""
-    if n_components < 1:
-        raise BadParameter("a mixture needs at least one component")
+    n_components = require_int(n_components, "n_components", 1)
     g = _rng(seed)
     weights = g.dirichlet(np.ones(n_components))
     pairs = [
@@ -387,13 +393,11 @@ def _build(family, params: dict, prefix: str, seed):
     ``prefix`` (``a.`` inside a product) makes a key read as the user wrote it."""
 
     def take(key, default=...):
-        """Remove parameter ``key`` from ``params``; its value must be an integer."""
-        if key not in params:
-            if default is ...:
-                raise BadParameter(f"state spec is missing required parameter {prefix + key!r}")
-            return default
-        value = params.pop(key)
-        if not isinstance(value, int):
+        """Pop parameter ``key``; the family checks a value that parsed as an integer."""
+        if default is ... and key not in params:
+            raise BadParameter(f"state spec is missing required parameter {prefix + key!r}")
+        value = params.pop(key, default)
+        if isinstance(value, str):
             raise BadParameter(f"parameter {prefix + key!r} must be an integer, got {value!r}")
         return value
 

@@ -1,16 +1,20 @@
 """Tests for the command-line front end."""
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projmi as pm
 from projmi import cli, errors, io, montecarlo
@@ -448,7 +452,7 @@ class TestUsageErrors:
         assert code == 2
         assert "bogus" in err
 
-    @pytest.mark.parametrize("samples", ["few", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("samples", ["few", "nan", "inf", "1e400", "2.5", "1", "True"])
     def test_bad_samples_exit_2(self, capsys, samples):
         code, _, err = run_cli(
             capsys, "entropy", "--state", "maxent:d=3", "--method", "von-neumann",
@@ -457,14 +461,28 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("projmi: --samples")
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_exit_2(self, capsys, tol):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "entropy", "--state", "maxent:d=3", "--method", "von-neumann",
             "--tol", tol,
         )
-        assert code == 2
+        assert (code, out) == (2, "")
         assert err.startswith("projmi: --tol")
+
+    def test_infinite_tol_does_not_pass_a_file_state(self, capsys, tmp_path):
+        # diag(1, ..., 9) has trace 45; every validation check passes at an
+        # infinite tolerance, and its entropy printed as -114.06 bits.
+        path = tmp_path / "trace45.json"
+        path.write_text(json.dumps({"dims": [3, 3], "re": np.diag(np.arange(1.0, 10.0)).tolist(),
+                                    "im": np.zeros((9, 9)).tolist()}))
+        argv = ("entropy", "--state", f"file:{path}", "--method", "von-neumann")
+        code, out, err = run_cli(capsys, *argv, "--tol", "inf")
+        assert (code, out) == (2, "")
+        assert err.startswith("projmi: --tol must be a finite number >= 0, got inf")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "|tr(M) - 1|" in err
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_exit_2(self, capsys, seed):
@@ -528,9 +546,17 @@ class TestStateSpecs:
         (["entropy", "--state", "product:a.n=2,b.n=3"], 0, ""),
         (["entropy", "--state", "mixture:{mixture_2x3}"], 0, ""),
         (["mi", "--state", "mixture:{mixture_2x3}"], 2, "(2, 3)"),
-        (["entropy", "--state", "mixed_random:n=3,rank=5"], 2, "rank must be in [1, 3]"),
+        (["entropy", "--state", "mixed_random:n=3,rank=5"], 2,
+         "rank must be an integer in [1, 4), got 5"),
         (["entropy", "--state", "separable_mixture:na=3,nb=3,components=0"], 2,
-         "at least one component"),
+         "n_components must be an integer >= 1, got 0"),
+        (["entropy", "--state", "separable_mixture:na=3,nb=3,components=True"], 2,
+         "parameter 'components' must be an integer, got 'True'"),
+        (["entropy", "--state", "pure_random:n=3.0"], 2,
+         "parameter 'n' must be an integer, got '3.0'"),
+        (["entropy", "--state", "basis_pure:n=3,index=3"], 2,
+         "basis index must be an integer in [0, 3), got 3"),
+        (["entropy", "--state", "maxent:d=2"], 2, "d must be an integer >= 3, got 2"),
         (["entropy", "--state", " "], 2, "empty state spec"),
         (["entropy", "--state", "maxent:d"], 2, "malformed spec parameter 'd'"),
     ]
@@ -560,15 +586,21 @@ class TestStateSpecs:
         assert json.loads(out)["dims"] == [9, 3]
 
 
+WEIGHT = "each mixture weight must be a finite number >= 0, got "
+
+
 class TestFileInputs:
     # A file's split is checked only by the command that needs one, and a
     # malformed mixture weight is a usage error. (argv, exit code, stderr text)
     CASES = {
         "entropy-2x3-file": (["entropy", "--state", "file:{state_2x3}"], 0, ""),
         "mi-2x3-file": (["mi", "--state", "file:{state_2x3}"], 2, "(2, 3)"),
-        "text-weight": (["entropy", "--state", "mixture:{text_weight}"], 2, "finite numbers"),
-        "nan-weight": (["entropy", "--state", "mixture:{nan_weight}"], 2, "finite numbers"),
-        "bool-weight": (["entropy", "--state", "mixture:{bool_weight}"], 2, "finite numbers"),
+        "text-weight": (["entropy", "--state", "mixture:{text_weight}"], 2, WEIGHT + "'x'"),
+        "nan-weight": (["entropy", "--state", "mixture:{nan_weight}"], 2, WEIGHT + "nan"),
+        "inf-weight": (["entropy", "--state", "mixture:{inf_weight}"], 2, WEIGHT + "inf"),
+        "bool-weight": (["entropy", "--state", "mixture:{bool_weight}"], 2, WEIGHT + "True"),
+        "negative-weight": (["entropy", "--state", "mixture:{negative_weight}"], 2,
+                            WEIGHT + "-0.5"),
         "weight-count": (["entropy", "--state", "mixture:{one_weight}"], 2, "got 1 and 2"),
         "mi-dims-mismatch": (
             ["mi", "--state", "mixed_random:n=9", "--dims", "3,4"], 2, "dim_a*dim_b = 12"
@@ -578,7 +610,8 @@ class TestFileInputs:
     @staticmethod
     def _write_files(tmp_path) -> dict:
         weights = {"text_weight": ["x", 0.5], "nan_weight": [float("nan"), 1.0],
-                   "bool_weight": [True, 0.0], "one_weight": [1.0]}
+                   "inf_weight": [float("inf"), 1.0], "bool_weight": [True, 0.0],
+                   "negative_weight": [-0.5, 1.5], "one_weight": [1.0]}
         paths = {name: tmp_path / f"{name}.json" for name in ("state_2x3", *weights)}
         io.save_state(paths["state_2x3"], pm.validate_density(pm.mixed_random(6).matrix), (2, 3))
         for name, values in weights.items():
@@ -629,6 +662,53 @@ class TestExitClass:
         assert out == ""
         assert "raised by a patched estimator" in err
         assert code == (2 if issubclass(error, errors.UsageError) else 3)
+
+
+# Malformed and edge-case text for the flags and the spec parameters. The
+# dimensions stay small: an exact method on a large state is slow, not wrong.
+SPEC_VALUES = ("-1", "0", "1", "2", "3", "4", "3.0", "2.5", "True", "x", "", "nan", "1e400")
+SPECS = ("maxent:d={}", "pure_random:n={},seed={}", "mixed_random:n={},rank={}",
+         "basis_pure:n={},index={}", "separable_mixture:na={},nb={},components={}",
+         "product:a.n={},b.n={}")
+FLAG_VALUES = {
+    "--samples": ("0", "1", "2", "1e5", "2.5", "1e400", "nan", "inf", "-inf", "True", "x", ""),
+    "--seed": ("0", "-1", "1.5", str(2**64 - 1), str(2**64), "nan", "True", "x", ""),
+    "--tol": ("0", "1e-10", "-0.0", "-1", "1e308", "1e400", "nan", "inf", "-inf", "x", ""),
+}
+DIMS = ("3,3", "3x3", "3", "3,a", "2,3", "3.0,3", "0,0", "True,3", "-3,-3", "")
+D_RANGES = ("3", "3:4", "2:4", "5:3", "3.0:4", "3,x", "x", "", ":", "-1:3")
+
+
+@st.composite
+def exact_method_argv(draw) -> list[str]:
+    """An entropy, mi or sweep command line of an exact method, its flags
+    drawn from the malformed and edge-case values above."""
+    command = draw(st.sampled_from(["entropy", "mi", "sweep"]))
+    if command == "sweep":
+        argv = [command, "--family", "maxent", "--d-range", draw(st.sampled_from(D_RANGES)),
+                "--method", "closed-form,von-neumann"]
+    else:
+        spec = draw(st.sampled_from(SPECS))
+        values = [draw(st.sampled_from(SPEC_VALUES)) for _ in range(spec.count("{}"))]
+        argv = [command, "--state", spec.format(*values), "--method", "von-neumann"]
+        if command == "mi" and draw(st.booleans()):
+            argv += ["--dims", draw(st.sampled_from(DIMS))]
+    for flag, values in FLAG_VALUES.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=exact_method_argv())
+def test_malformed_input_is_a_usage_error(argv):
+    # main returns 0, or 2 with nothing on stdout; it never raises, and no
+    # malformed value reaches a numeric failure (exit 3).
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert code == 0 or out.getvalue() == "", argv
 
 
 class TestReadme:

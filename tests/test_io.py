@@ -1,6 +1,7 @@
 """Tests for the JSON state and mixture file schemas."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,11 +46,16 @@ class TestStateSchema:
         with pytest.raises(BadParameter, match="dims"):
             io.state_from_dict(data)
 
-    @pytest.mark.parametrize("dims", [[True, 4], [2.0, 2], [2, 2, 1], [], "4"])
+    @pytest.mark.parametrize("dims", [[True, 4], [2.0, 2], [2, 2, 1], [], "4", ["2", 2], [4, 0]])
     def test_rejects_malformed_dims(self, dims):
         eye = np.eye(4) / 4
         data = {"dims": dims, "re": eye.tolist(), "im": (0 * eye).tolist()}
-        with pytest.raises(BadParameter, match="'dims' must be a list of one or two positive"):
+        if isinstance(dims, list) and len(dims) in (1, 2):
+            bad = next(d for d in dims if type(d) is not int or d < 1)
+            text = f"each entry of 'dims' must be an integer >= 1, got {bad!r}"
+        else:
+            text = "'dims' must be a list of one or two positive integers"
+        with pytest.raises(BadParameter, match=f"^state: {re.escape(text)}$"):
             io.state_from_dict(data)
 
     def test_rejects_missing_keys(self):

@@ -40,7 +40,8 @@ class TestSamplerConfig:
             pm.SamplerConfig(seed=seed, n_samples=10)
 
     @pytest.mark.parametrize("seed, n_samples, subject", [
-        (True, 10, "seed"), (1.5, 10, "seed"), (0, 1e4, "n_samples"), (0, True, "n_samples"),
+        (True, 10, "seed"), (1.5, 10, "seed"), (3.0, 10, "seed"), ("3", 10, "seed"),
+        (0, 1e4, "n_samples"), (0, True, "n_samples"), (0, 3.0, "n_samples"), (0, "3", "n_samples"),
     ])
     def test_non_integer_rejected(self, seed, n_samples, subject):
         with pytest.raises(BadParameter, match=f"^{subject} must be an integer"):

@@ -38,6 +38,13 @@ class TestProject:
         with pytest.raises(ZeroVector):
             pm.project(np.zeros(3))
 
+    def test_extreme_entries_are_scaled_first(self):
+        # An unscaled norm overflows to inf near 1e200 and underflows to 0
+        # near 1e-200.
+        assert pm.project(np.array([1e200, 1e200])) == pm.project(np.ones(2))
+        with pytest.raises(ZeroVector, match=r"of norm 1\.414e-200$"):
+            pm.project(np.array([1e-200, 1e-200]))
+
     def test_direct_construction_requires_unit_norm(self):
         with pytest.raises(BadParameter):
             pm.ProjectivePoint(np.array([2.0, 0.0, 0.0]))
@@ -331,6 +338,7 @@ NON_FINITE = {
     "project": lambda: pm.project(np.array([np.inf, 1, 0])),
     "TangentVector": lambda: pm.TangentVector(_point3(), np.full((3, 3), np.nan)),
     "schrodinger_flow": lambda: pm.schrodinger_flow(_point3(), np.eye(3), float("nan")),
+    "schrodinger_flow inf": lambda: pm.schrodinger_flow(_point3(), np.eye(3), float("inf")),
 }
 
 
@@ -354,6 +362,7 @@ MALFORMED = {
         DimensionMismatch, lambda: pm.TangentVector(_point3(), np.eye(2))),
     "Hamiltonian of another dimension": (
         DimensionMismatch, lambda: pm.schrodinger_flow(_point3(), np.eye(2), 1.0)),
+    "vector of norm 1.4e-200": (ZeroVector, lambda: pm.project(np.array([1e-200, 1e-200]))),
 }
 
 

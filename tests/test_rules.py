@@ -1,7 +1,9 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
 eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff;
 so have the seed range, the derivation of random streams, the smallest
-subsystem dimension and the shape of a batch of rows. ``io`` checks a JSON
+subsystem dimension and the shape of a batch of rows, and every check that a
+scalar parameter is an integer in range (``require_int``) or a finite number
+in range (``require_finite``). ``io`` checks a JSON
 object's keys in one place, ``montecarlo`` owns the geometry of a crossed
 group, and every density of a state is its eigenfactor's. These tests pin
 the shared behaviour at every site that applies a rule, and guard against
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi import cli, states
+from projmi import cli, io, states
 from projmi.errors import BadParameter, DimensionMismatch, EigenDecompositionFailure, NotHermitian
 from projmi.structure import RestrictedDensity
 
@@ -70,24 +72,76 @@ def test_require_hermitian_names_its_subject():
 
 
 def test_require_seed_names_its_subject():
-    with pytest.raises(BadParameter, match=r"^--seed must be an integer in \[0, 2\^64\), got -1$"):
+    message = f"--seed must be an integer in [0, {2**64}), got -1"
+    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
         states.require_seed(-1, "--seed")
     assert states.require_seed(np.uint64(2**64 - 1)) == 2**64 - 1
 
 
-# Each site that takes a subsystem dimension d, called with d = 2.
+# Each site that takes a subsystem dimension d, as a call of d.
 DIMENSION_SITES = {
-    "BipartiteDims": lambda: pm.BipartiteDims(3, 2),
-    "maximally_entangled": lambda: pm.maximally_entangled(2),
-    "maxent_mi_closed_form": lambda: pm.maxent_mi_closed_form(2),
-    "--d-range": lambda: cli._parse_d_range("2:4"),
+    "BipartiteDims": lambda d: pm.BipartiteDims(3, d),
+    "maximally_entangled": pm.maximally_entangled,
+    "maxent_mi_closed_form": pm.maxent_mi_closed_form,
+    "--d-range": lambda d: cli._parse_d_range(f"{d}:4"),
 }
 
 
 @pytest.mark.parametrize("site", DIMENSION_SITES)
 def test_dimension_sites_share_one_floor(site):
-    with pytest.raises(BadParameter, match=r" must be >= 3, got 2$"):
-        DIMENSION_SITES[site]()
+    with pytest.raises(BadParameter, match=r" must be an integer >= 3, got 2$"):
+        DIMENSION_SITES[site](2)
+
+
+def _state_dict(dims) -> dict:
+    return {"dims": dims, "re": np.eye(3) / 3, "im": np.zeros((3, 3))}
+
+
+# Each other site of an integer parameter, as a call of its value; 3 is valid
+# at each. The command line's text sites are tested in test_cli.
+INTEGER_SITES = {
+    "require_seed": states.require_seed,
+    "SamplerConfig n_samples": lambda n: pm.SamplerConfig(0, n),
+    "pure_random n": pm.pure_random,
+    "mixed_random n": pm.mixed_random,
+    "mixed_random rank": lambda rank: pm.mixed_random(3, rank),
+    "basis_pure n": lambda n: pm.basis_pure(n, 0),
+    "basis_pure index": lambda index: pm.basis_pure(4, index),
+    "random_mixture n_components": lambda n: pm.random_mixture(3, 3, n),
+    "haar_unitary n": lambda n: pm.haar_unitary(n, 0),
+    "io dims": lambda d: io.state_from_dict(_state_dict([d])),
+    **{site: call for site, call in DIMENSION_SITES.items() if not site.startswith("--")},
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_sites_share_one_check(site):
+    call = INTEGER_SITES[site]
+    call(np.int64(3))
+    for value in (3.0, True, "3"):
+        ending = f" must be an integer .*, got {re.escape(repr(value))}$"
+        with pytest.raises(BadParameter, match=ending):
+            call(value)
+
+
+# Each site of a real parameter, as a call of its value; 0.5 is valid at each.
+FINITE_SITES = {
+    "validate_density tol": lambda tol: pm.validate_density(np.eye(3) / 3, tol=tol),
+    "io tol": lambda tol: io.state_from_dict(_state_dict([3]), tol=tol),
+    "SeparableMixture weight": lambda w: pm.SeparableMixture(
+        (w, 0.5), 2 * ((pm.basis_pure(3, 0), pm.basis_pure(3, 1)),)),
+    "schrodinger_flow t": lambda t: pm.schrodinger_flow(pm.project(np.ones(3)), np.eye(3), t),
+}
+
+
+@pytest.mark.parametrize("site", FINITE_SITES)
+def test_finite_sites_share_one_check(site):
+    call = FINITE_SITES[site]
+    call(np.float64(0.5))
+    for value in (float("nan"), float("inf"), True, "0.5"):
+        ending = f" must be a finite number.*, got {re.escape(repr(value))}$"
+        with pytest.raises(BadParameter, match=ending):
+            call(value)
 
 
 def _pair_density(kind):
@@ -174,6 +228,11 @@ CONFINED = {
     "stream derivation": (r"SeedSequence|default_rng|generate_state",
                           "return np.random.default_rng(np.random.SeedSequence([seed, index]))",
                           {"states.py"}),
+    # Whether a scalar parameter is an integer, or a finite number, in range
+    # (states.require_int and states.require_finite).
+    "scalar check": (r"numbers\.|type\(\w+\) is int|math\.isfinite",
+                     "if not math.isfinite(value) or value != int(value) or value < 2:",
+                     {"states.py"}),
     # The standard error has one path, from group totals.
     "row-margin design": (r"\b_margins\b|_design_counts|_INCIDENCE",
                           "margins, (counts, q) = _margins(e, rows), _design_counts(m)", set()),
