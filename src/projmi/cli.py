@@ -31,6 +31,7 @@ from .montecarlo import MCEstimate, SamplerConfig
 from .native import keep_freed_memory, single_blas_thread
 from .states import (
     SQUARE_SPECS,
+    VALIDATION_TOL,
     BipartiteDims,
     DensityMatrix,
     assemble,
@@ -261,7 +262,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", default="1e5", help="sample count, e.g. 100000 or 1e6")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2^64)")
     parser.add_argument("--out", choices=("json", "csv"), default=None)
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=VALIDATION_TOL,
                         help="validation tolerance for states loaded from files")
 
 

@@ -1,6 +1,6 @@
-"""Information quantities over projective space: differential entropies,
-the classical-like mutual information of a bipartite state, and entropy
-decompositions.
+"""Information quantities over projective space: differential entropies, the
+densities of a bipartite state and of a separable mixture on pairs of rays,
+the classical-like mutual information, and entropy decompositions.
 
 Three Monte Carlo estimators of the classical-like mutual information are
 kept deliberately separate, as columns of one integrand over the same draws
@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E
 from .errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
 from .montecarlo import (
     MCEstimate,
@@ -61,14 +60,23 @@ from .projective import (
     eigenfactor,
     hermitian_features,
     liouville_density,
+    quadratic_form,
     real_coordinates,
 )
 from .states import (
     BipartiteDims,
     DensityMatrix,
+    SeparableMixture,
     partial_trace,
     vn_mutual_information,
 )
+
+# Euler-Mascheroni constant, fixed 16-digit literal.
+EULER_GAMMA = 0.5772156649015329
+# All logarithms are base 2; natural-log intermediates convert through this.
+LOG2_E = math.log2(math.e)
+# Densities at or below this value contribute zero to entropy-style integrands.
+DENSITY_SUPPORT_EPS = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +100,8 @@ class JointDensity:
     def __post_init__(self):
         self.dims.require_joint(self.source.dim)
         factor = eigenfactor(self.source)
-        d_a, d_b = self.dims.dim_a, self.dims.dim_b
-        s = (factor.conj() @ factor.T).reshape(d_a, d_b, d_a, d_b)
-        realigned = s.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-        gram = real_coordinates(real_coordinates(realigned, d_a).T, d_b)
+        realigned = self.dims.realign(factor.conj() @ factor.T)
+        gram = real_coordinates(real_coordinates(realigned, self.dims.dim_a).T, self.dims.dim_b)
         object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "_gram", np.ascontiguousarray(gram.real))
 
@@ -120,6 +126,32 @@ class JointDensity:
 def joint_density_eval(sigma: DensityMatrix, dims: BipartiteDims) -> JointDensity:
     """The state's density on pairs of subsystem rays (its Segre restriction)."""
     return JointDensity(sigma, dims)
+
+
+@dataclass(frozen=True, eq=False)
+class RestrictedDensity:
+    """Exact density of a separable mixture on pairs of subsystem rays."""
+
+    mixture: SeparableMixture
+
+    def __call__(self, p_a: ProjectivePoint, p_b: ProjectivePoint) -> float:
+        return float(self.eval_batch(p_a.vector[None, :], p_b.vector[None, :])[0])
+
+    def eval_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Density per row pair, summed component by component with
+        ``quadratic_form`` (an independent reference for the joint kernel)."""
+        self.mixture.dims.require_pairs(xs, ys)
+        total = np.zeros(xs.shape[0])
+        for w, (a, b) in zip(self.mixture.weights, self.mixture.components):
+            va = quadratic_form(xs, a.matrix).real
+            vb = quadratic_form(ys, b.matrix).real
+            total += w * va * vb
+        return total
+
+
+def restricted_density(mixture: SeparableMixture) -> RestrictedDensity:
+    """(p_a, p_b) -> sum_n lambda_n tr(sigma_An p_a) tr(sigma_Bn p_b), exact."""
+    return RestrictedDensity(mixture)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,27 +322,24 @@ def _control_means(joint: JointDensity, marg_a, marg_b) -> tuple[float, ...]:
     the cross terms of the squares and products being orbits of their own.
     So the means cost a few matrix products of the joint dimension.
     """
-    d_a, d_b = joint.dims.dim_a, joint.dims.dim_b
-    n = d_a * d_b
+    dims = joint.dims
+    d_a, d_b = dims
     s = joint._factor.conj() @ joint._factor.T
     (p1, p2, p3, p4), s2 = _power_sums(s)
-    t, t2 = s.reshape(d_a, d_b, d_a, d_b), s2.reshape(d_a, d_b, d_a, d_b)
-    rho_a, rho_b = np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+    rho_a, rho_b = dims.reduce(s, "A"), dims.reduce(s, "B")
     (_, a2, a3, a4), rho_a2 = _power_sums(rho_a)
     (_, b2, b3, b4), rho_b2 = _power_sums(rho_b)
-    (_, _, pt3, pt4), gamma2 = _power_sums(t.transpose(0, 3, 2, 1).reshape(n, n))
-    q = gamma2.reshape(t.shape).transpose(0, 3, 2, 1).reshape(n, n)  # (Gamma^2)^T_B
-    m_b = (s.reshape(n * d_a, d_b) @ rho_b).reshape(n, n)  # sigma (1 (x) rho_B)
-    m_a = (rho_a.T @ s.reshape(n, d_a, d_b)).reshape(n, n)  # sigma (rho_A (x) 1)
-    y_a = np.einsum("ijkj->ik", t2 + m_b.reshape(t.shape))
-    y_b = np.einsum("ijil->jl", t2 + m_a.reshape(t.shape))
-    real = t.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    (_, _, pt3, pt4), gamma2 = _power_sums(dims.transpose_b(s))
+    q = dims.transpose_b(gamma2)  # (Gamma^2)^T_B
+    m_b, m_a = dims.times_b(s, rho_b), dims.times_a(s, rho_a)
+    y_a, y_b = dims.reduce(s2 + m_b, "A"), dims.reduce(s2 + m_a, "B")
+    real = dims.realign(s)
     g = (real.T @ real.conj()).reshape((d_b,) * 4)
     h = (real.conj() @ real.T).reshape((d_a,) * 4)
     m = m_a + m_b
     c2 = p2 + a2 + b2
     c3 = 2 * (a3 + b3 + p3 + pt3) + 6 * float(
-        (np.vdot(y_a, rho_a) + np.vdot(np.einsum("ijil->jl", t2), rho_b)).real)
+        (np.vdot(y_a, rho_a) + np.vdot(dims.reduce(s2, "B"), rho_b)).real)
     c4 = float((6 * (a4 + b4 + p4 + pt4 + np.einsum("ijkl,jilk->", g, g)
                      + np.einsum("ijkl,jlik->", g, g) + np.einsum("ijkl,jlik->", h, h))
                 + 12 * (np.einsum("ij,ji->", m, m) + np.vdot(y_a, y_a) + np.vdot(y_b, y_b))

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .constants import VALIDATION_TOL
 from .errors import BadParameter
-from .states import DensityMatrix, SeparableMixture, require_int, validate_density
+from .states import (
+    VALIDATION_TOL, DensityMatrix, SeparableMixture, require_int, validate_density,
+)
 
 
 def _fields(data, keys: tuple, label: str) -> tuple:

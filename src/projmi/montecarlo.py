@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANT_CONTROL_RSD
 from .errors import (
     BadParameter,
     NonFiniteSample,
@@ -84,6 +83,10 @@ _Y_ROW = (_X_ROW + _SHIFT) % GROUP
 # 1.06-1.17 on maxent 5x5 (1.04-1.05 with ten), and with ten, 1.01 for
 # mixed 9x9 projective against decomposition (300 seed pairs).
 MIN_CONTROL_SAMPLES = 4096
+
+# Relative SD at or below which a control is constant up to rounding (a
+# unit-row quadratic form of I/d varies by about 1e-16 relative); see _control_fit.
+CONSTANT_CONTROL_RSD = 1e-12
 
 
 @dataclass(frozen=True)

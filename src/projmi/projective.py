@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import VALIDATION_TOL
 from .errors import BadParameter, BaseMismatch, DimensionMismatch, InvalidFrame, ZeroVector
 from .states import (
-    DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff, require_finite,
-    require_hermitian, require_rows, spectral,
+    VALIDATION_TOL, DensityMatrix, HermitianOperator, haar_unitary, matrix_of, rank_cutoff,
+    require_finite, require_hermitian, require_rows, spectral,
 )
 
 _NORM_TOL = 1e-12

@@ -1,10 +1,10 @@
-"""Complex-matrix quantum states: validation, composition, reduction, spectra,
-the canonical state families and separable mixtures, and the parser of state
-specs that builds them.
+"""Complex-matrix quantum states: validation, composition, reduction, the
+product and partial-transpose screens, spectra, the canonical state families
+and separable mixtures, and the parser of state specs that builds them.
 
 Basis convention: computational basis indexed 0..n-1. Bipartite tensor
-indexing is A-major, i.e. the joint index of |a> (x) |b> is a * dim_b + b,
-which matches row-major reshaping everywhere.
+indexing is A-major, i.e. the joint index of |a> (x) |b> is a * dim_b + b;
+``BipartiteDims`` holds the one reshape of a joint matrix that reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import VALIDATION_TOL
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -26,6 +25,9 @@ from .errors import (
     UnknownFamily,
     ValidationError,
 )
+
+# Validation ladder: matrix invariants at 1e-10.
+VALIDATION_TOL = 1e-10
 
 
 def _as_square_matrix(m) -> np.ndarray:
@@ -71,6 +73,14 @@ def require_finite(value, what: str, low: float = -math.inf) -> float:
 def require_seed(seed, what: str = "seed") -> int:
     """``seed`` as an int in [0, 2^64), one 64-bit word of numpy's SeedSequence."""
     return require_int(seed, what, 0, 2**64)
+
+
+def require_order(n, what: str = "dimension n") -> int:
+    """``n`` as a matrix order: an integer >= 1 whose n x n matrix numpy can index."""
+    top = math.isqrt(np.iinfo(np.intp).max)
+    if require_int(n, what, 1) > top:
+        raise BadParameter(f"{what} must be at most {top} (numpy's index range), got {n}")
+    return int(n)
 
 
 def require_dim(d, what: str) -> int:
@@ -172,6 +182,33 @@ class BipartiteDims:
     def joint(self) -> int:
         return self.dim_a * self.dim_b
 
+    def _blocks(self, m: np.ndarray) -> np.ndarray:
+        """The A-major layout: entry (a dim_b + b, c dim_b + e) of ``m`` at [a, b, c, e]."""
+        return m.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+
+    def reduce(self, m: np.ndarray, keep: str) -> np.ndarray:
+        """The partial trace of a joint matrix onto factor ``keep`` ("A" or "B")."""
+        tag = keep.upper() if isinstance(keep, str) else keep
+        if tag not in ("A", "B"):
+            raise BadParameter(f"keep must be 'A' or 'B', got {keep!r}")
+        return np.einsum("ijkj->ik" if tag == "A" else "ijil->jl", self._blocks(m))
+
+    def transpose_b(self, m: np.ndarray) -> np.ndarray:
+        """The partial transpose of a joint matrix on factor B."""
+        return self._blocks(m).transpose(0, 3, 2, 1).reshape(self.joint, self.joint)
+
+    def realign(self, m: np.ndarray) -> np.ndarray:
+        """The (dim_a^2, dim_b^2) realignment r_(ac),(be) = m_(ab),(ce) of a joint matrix."""
+        return self._blocks(m).transpose(0, 2, 1, 3).reshape(self.dim_a ** 2, self.dim_b ** 2)
+
+    def times_a(self, m: np.ndarray, op_a: np.ndarray) -> np.ndarray:
+        """m (op_a (x) 1) for a joint matrix m and a dim_a x dim_a matrix op_a."""
+        return (op_a.T @ m.reshape(self.joint, self.dim_a, self.dim_b)).reshape(m.shape)
+
+    def times_b(self, m: np.ndarray, op_b: np.ndarray) -> np.ndarray:
+        """m (1 (x) op_b) for a joint matrix m and a dim_b x dim_b matrix op_b."""
+        return (m.reshape(self.joint * self.dim_a, self.dim_b) @ op_b).reshape(m.shape)
+
     def require_joint(self, n: int):
         """Raise DimensionMismatch unless a state of dimension ``n`` fits this split."""
         if n != self.joint:
@@ -224,15 +261,26 @@ def partial_trace(sigma, dims: BipartiteDims, keep: str) -> DensityMatrix:
     """Reduce a bipartite state to subsystem ``keep`` ("A" or "B")."""
     m = matrix_of(sigma)
     dims.require_joint(m.shape[0])
-    t = m.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
-    tag = keep.upper() if isinstance(keep, str) else keep
-    if tag == "A":
-        reduced = np.einsum("ijkj->ik", t)
-    elif tag == "B":
-        reduced = np.einsum("ijil->jl", t)
-    else:
-        raise BadParameter(f"keep must be 'A' or 'B', got {keep!r}")
-    return validate_density(reduced)
+    return validate_density(dims.reduce(m, keep))
+
+
+def is_product(sigma, dims: BipartiteDims, tol: float = 1e-9) -> bool:
+    """True iff sigma equals the tensor product of its own reductions
+    within Frobenius distance ``tol``."""
+    m = matrix_of(sigma)
+    prod = tensor(partial_trace(m, dims, "A"), partial_trace(m, dims, "B"))
+    return float(np.linalg.norm(m - prod)) <= tol
+
+
+def ppt_check(sigma, dims: BipartiteDims) -> bool:
+    """Positive partial transpose on factor B, up to ``VALIDATION_TOL``.
+
+    Necessary for separability, but in dimensions 3x3 and above a True
+    result is a label, not a separability certificate.
+    """
+    m = matrix_of(sigma)
+    dims.require_joint(m.shape[0])
+    return float(spectral(np.linalg.eigvalsh, dims.transpose_b(m))[0]) >= -VALIDATION_TOL
 
 
 def von_neumann_entropy(sigma) -> float:
@@ -253,7 +301,7 @@ def vn_mutual_information(sigma, dims: BipartiteDims) -> float:
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
-    n = require_int(n, "dimension n", 1)
+    n = require_order(n)
     g = _rng(rng)
     z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -264,7 +312,7 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 def maximally_entangled(d: int) -> DensityMatrix:
     """|Phi><Phi| with |Phi> = d^(-1/2) sum_i |i>|i> on a d x d split."""
-    require_dim(d, "maximally entangled d")
+    require_order(require_dim(d, "maximally entangled d") ** 2, "maximally entangled d^2")
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     return DensityMatrix(np.outer(phi, phi.conj()))
@@ -272,7 +320,7 @@ def maximally_entangled(d: int) -> DensityMatrix:
 
 def basis_pure(n: int, index: int) -> DensityMatrix:
     """Projector onto computational basis vector |index> in dimension n."""
-    n = require_int(n, "dimension n", 1)
+    n = require_order(n)
     index = require_int(index, "basis index", 0, n)
     m = np.zeros((n, n), dtype=complex)
     m[index, index] = 1.0
@@ -281,7 +329,7 @@ def basis_pure(n: int, index: int) -> DensityMatrix:
 
 def pure_random(n: int, seed=0) -> DensityMatrix:
     """Rank-1 projector onto a normalized standard complex Gaussian vector."""
-    n = require_int(n, "dimension n", 1)
+    n = require_order(n)
     g = _rng(seed)
     x = g.standard_normal(n) + 1j * g.standard_normal(n)
     x /= np.linalg.norm(x)
@@ -290,7 +338,7 @@ def pure_random(n: int, seed=0) -> DensityMatrix:
 
 def mixed_random(n: int, rank: int | None = None, seed=0) -> DensityMatrix:
     """GG^dag / tr(GG^dag) for an n x rank standard complex Gaussian factor G."""
-    n = require_int(n, "dimension n", 1)
+    n = require_order(n)
     r = require_int(n if rank is None else rank, "rank", 1, n + 1)
     g = _rng(seed)
     factor = g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))
@@ -325,11 +373,8 @@ class SeparableMixture:
         total = sum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise BadParameter(f"mixture weights sum to {total!r}, not 1")
-        dim_a = components[0][0].dim
-        dim_b = components[0][1].dim
-        for a, b in components:
-            if a.dim != dim_a or b.dim != dim_b:
-                raise DimensionMismatch("mixture components must share dimensions")
+        if len({(a.dim, b.dim) for a, b in components}) > 1:
+            raise DimensionMismatch("mixture components must share dimensions")
 
     @property
     def dims(self) -> BipartiteDims:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, ProjmiError
+from projmi.infomeasures import EULER_GAMMA, LOG2_E
 from projmi.states import matrix_of
 
 

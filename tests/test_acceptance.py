@@ -12,7 +12,7 @@ import numpy as np
 
 import projmi as pm
 from projmi.cli import main as cli_main
-from projmi.constants import EULER_GAMMA, LOG2_E
+from projmi.infomeasures import EULER_GAMMA, LOG2_E
 
 import oracles
 

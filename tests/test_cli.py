@@ -461,6 +461,15 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("projmi: --samples")
 
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--state", "maxent:d=3", "--method", "von-neumann"),
+        ("mi", "--state", "maxent:d=3", "--method", "all"),
+        ("sweep", "--family", "maxent", "--d-range", "3", "--method", "closed-form"),
+    ], ids=["entropy", "mi", "sweep"])
+    def test_tol_default_is_the_validation_tolerance(self, argv):
+        # The very object of states: the parser spells no tolerance of its own.
+        assert build_parser().parse_args(argv).tol is pm.states.VALIDATION_TOL
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_exit_2(self, capsys, tol):
         code, out, err = run_cli(
@@ -559,6 +568,11 @@ class TestStateSpecs:
         (["entropy", "--state", "maxent:d=2"], 2, "d must be an integer >= 3, got 2"),
         (["entropy", "--state", " "], 2, "empty state spec"),
         (["entropy", "--state", "maxent:d"], 2, "malformed spec parameter 'd'"),
+        # Orders whose n x n matrix numpy cannot index, rejected before allocating.
+        (["entropy", "--state", "pure_random:n=18446744073709551616"], 2,
+         "dimension n must be at most 3037000499"),
+        (["entropy", "--state", "maxent:d=1099511627776"], 2,
+         "maximally entangled d^2 must be at most 3037000499"),
     ]
 
     @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import projmi as pm
 from projmi import infomeasures, montecarlo
-from projmi.constants import DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch, MarginalZeroAnomaly
-from projmi.infomeasures import MI_COLUMNS, _mi_integrand, check_marginal_support
+from projmi.infomeasures import (
+    DENSITY_SUPPORT_EPS, EULER_GAMMA, LOG2_E, MI_COLUMNS, _mi_integrand, check_marginal_support,
+)
 from projmi.montecarlo import BLOCK, GROUP
 from projmi.projective import LiouvilleDensity, hermitian_features
 

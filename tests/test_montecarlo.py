@@ -8,13 +8,13 @@ import pytest
 
 import projmi as pm
 from projmi import montecarlo
-from projmi.constants import LOG2_E
 from projmi.errors import (
     BadParameter,
     MarginalZeroAnomaly,
     NonFiniteSample,
     ReconstructionOutOfTolerance,
 )
+from projmi.infomeasures import LOG2_E
 from projmi.montecarlo import BLOCK, GROUP, pair_index, pair_rows
 from projmi.projective import LiouvilleDensity
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import projmi as pm
-from projmi.constants import EULER_GAMMA, LOG2_E
 from projmi.errors import BadParameter, DimensionMismatch
+from projmi.infomeasures import EULER_GAMMA, LOG2_E
 
 import oracles
 from helpers import random_hermitian

@@ -1,7 +1,9 @@
 """Each matrix rule has one owner in ``states``: the Hermiticity test, the
-eigensolver wrapper, the joint-dimension check and the numerical-rank cutoff;
-so have the seed range, the derivation of random streams, the smallest
-subsystem dimension and the shape of a batch of rows, and every check that a
+eigensolver wrapper, the joint-dimension check, the numerical-rank cutoff and
+the A-major index layout of a bipartite matrix (the partial traces, partial
+transpose and realignment of ``BipartiteDims``); so have the seed range, the
+derivation of random streams, the smallest subsystem dimension and the shape
+of a batch of rows, and every check that a
 scalar parameter is an integer in range (``require_int``) or a finite number
 in range (``require_finite``). ``io`` checks a JSON
 object's keys in one place, ``montecarlo`` owns the geometry of a crossed
@@ -23,7 +25,7 @@ import pytest
 import projmi as pm
 from projmi import cli, io, states
 from projmi.errors import BadParameter, DimensionMismatch, EigenDecompositionFailure, NotHermitian
-from projmi.structure import RestrictedDensity
+from projmi.infomeasures import RestrictedDensity
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projmi"
 
@@ -194,6 +196,8 @@ RULES = {
     "subsystem-dimension floor": (r"[<>]=? ?3\b", "if not values or any(d < 3 for d in values):"),
     "batch-shape message": (r"batch shapes?\b",
                             'raise DimensionMismatch(f"batch shapes {xs.shape}, {ys.shape} != "'),
+    "bipartite layout": (r"ijkj|ijil|\(0, ?3, ?2, ?1\)|\(0, ?2, ?1, ?3\)",
+                         'rho_a, rho_b = np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)'),
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the density-matrix substrate and canonical state families."""
 
+import itertools
 import re
 from pathlib import Path
 
@@ -141,6 +142,52 @@ class TestPartialTrace:
     def test_unknown_subsystem_rejected(self):
         with pytest.raises(BadParameter, match="keep must be 'A' or 'B'"):
             pm.partial_trace(pm.maximally_entangled(3), self.dims, "C")
+
+
+def _layout_by_loops(m, op_a, op_b, d_a, d_b):
+    """rho_A, rho_B, m^T_B, the realignment, m (op_a (x) 1) and m (1 (x) op_b)
+    of a joint matrix m, entry by entry from m[a d_b + b, c d_b + e]."""
+    n = d_a * d_b
+    rho_a, rho_b = np.zeros((d_a, d_a), complex), np.zeros((d_b, d_b), complex)
+    pt, real = np.zeros((n, n), complex), np.zeros((d_a * d_a, d_b * d_b), complex)
+    times_a, times_b = np.zeros((n, n), complex), np.zeros((n, n), complex)
+    for a, b, c, e in itertools.product(range(d_a), range(d_b), range(d_a), range(d_b)):
+        entry = m[a * d_b + b, c * d_b + e]
+        if b == e:
+            rho_a[a, c] += entry
+        if a == c:
+            rho_b[b, e] += entry
+        pt[a * d_b + e, c * d_b + b] = entry
+        real[a * d_a + c, b * d_b + e] = entry
+    for row, a, c, e in itertools.product(range(n), range(d_a), range(d_a), range(d_b)):
+        times_a[row, c * d_b + e] += m[row, a * d_b + e] * op_a[a, c]
+    for row, c, b, e in itertools.product(range(n), range(d_a), range(d_b), range(d_b)):
+        times_b[row, c * d_b + e] += m[row, c * d_b + b] * op_b[b, e]
+    return rho_a, rho_b, pt, real, times_a, times_b
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 4), (4, 3)])
+class TestBipartiteLayout:
+    """On a non-square split, where swapped A and B axes cannot hide."""
+
+    def test_layout_operations_match_index_loops(self, d_a, d_b):
+        dims, n = pm.BipartiteDims(d_a, d_b), d_a * d_b
+        rng = np.random.default_rng(11)
+        m, op_a, op_b = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                         for k in (n, d_a, d_b))
+        rho_a, rho_b, pt, real, times_a, times_b = _layout_by_loops(m, op_a, op_b, d_a, d_b)
+        assert np.allclose(dims.reduce(m, "A"), rho_a, atol=1e-12)
+        assert np.allclose(dims.reduce(m, "B"), rho_b, atol=1e-12)
+        assert np.array_equal(dims.transpose_b(m), pt)
+        assert np.array_equal(dims.realign(m), real)
+        assert np.allclose(dims.times_a(m, op_a), times_a, atol=1e-12)
+        assert np.allclose(dims.times_b(m, op_b), times_b, atol=1e-12)
+
+    def test_partial_trace_matches_index_loops(self, d_a, d_b):
+        sigma, dims = pm.mixed_random(d_a * d_b, seed=3), pm.BipartiteDims(d_a, d_b)
+        rho_a, rho_b, *_ = _layout_by_loops(sigma.matrix, np.eye(d_a), np.eye(d_b), d_a, d_b)
+        assert np.allclose(pm.partial_trace(sigma, dims, "A").matrix, rho_a, atol=1e-12)
+        assert np.allclose(pm.partial_trace(sigma, dims, "B").matrix, rho_b, atol=1e-12)
 
 
 class TestEntropy:

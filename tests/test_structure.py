@@ -169,3 +169,18 @@ class TestPptCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pm.ppt_check(np.eye(8) / 8, DIMS33)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 4), (4, 3)])
+class TestNonSquareScreens:
+    """The screens on a non-square split, where swapped A and B axes cannot hide."""
+
+    def test_ppt_check(self, d_a, d_b):
+        dims = pm.BipartiteDims(d_a, d_b)
+        assert not pm.ppt_check(pm.pure_random(12, 1), dims)
+        assert pm.ppt_check(pm.assemble(pm.random_mixture(d_a, d_b, 3, seed=2)), dims)
+
+    def test_is_product(self, d_a, d_b):
+        sigma = pm.make_state(f"product:a.n={d_a},b.n={d_b}")
+        assert pm.is_product(sigma, pm.BipartiteDims(d_a, d_b))
+        assert not pm.is_product(sigma, pm.BipartiteDims(d_b, d_a))
